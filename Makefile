@@ -75,13 +75,16 @@ bench-smoke:
 bench-large:
 	$(GO) test -run '^$$' -bench 'Phase1ClassicN5k|Phase1ScaledN5k|SolveLargeN5k' -benchtime 1x .
 
-# Regenerate the hot-path benchmark snapshot. Reports are numbered; the
-# newest BENCH_*.json is the baseline the guard compares against.
-bench:
-	$(GO) run ./cmd/krspbench -out BENCH_4.json
+# Snapshot numbers on disk, highest last (numeric sort, so BENCH_10 ranks
+# above BENCH_9).
+BENCH_NUMS := $(shell ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$$/\1/p' | sort -n)
 
-# Newest snapshot on disk (lexicographic; fine for single-digit revisions).
-BENCH_BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
+# Newest snapshot: the baseline the guard compares against.
+BENCH_BASELINE := BENCH_$(lastword $(BENCH_NUMS)).json
+
+# Regenerate the hot-path benchmark snapshot into the next free number.
+bench:
+	$(GO) run ./cmd/krspbench -out BENCH_$$(( $(or $(lastword $(BENCH_NUMS)),0) + 1 )).json
 
 # Zero-alloc contracts: core.Solve with Options.Metrics unset must not
 # allocate above the newest baseline, SolveCtx with a live Canceller must

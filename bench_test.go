@@ -228,11 +228,14 @@ func BenchmarkBicameralFind(b *testing.B) {
 	}
 }
 
+// BenchmarkSPFAAllN2000 times the CSR negative-cycle kernel on a view packed
+// outside the loop, renting a fresh workspace per search.
 func BenchmarkSPFAAllN2000(b *testing.B) {
 	ins := gen.ER(3, 200, 0.08, gen.DefaultWeights())
+	c := graph.NewCSR(ins.G)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shortest.SPFAAll(ins.G, shortest.CostWeight)
+		shortest.SPFAAllCSRInto(shortest.NewWorkspace(c.NumNodes()), c, shortest.LinCost, nil)
 	}
 }
 
@@ -241,10 +244,11 @@ func BenchmarkSPFAAllN2000(b *testing.B) {
 // per-search allocation cost the Workspace removes.
 func BenchmarkSPFAAllInto(b *testing.B) {
 	ins := gen.ER(3, 200, 0.08, gen.DefaultWeights())
-	ws := shortest.NewWorkspace(ins.G.NumNodes())
+	c := graph.NewCSR(ins.G)
+	ws := shortest.NewWorkspace(c.NumNodes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shortest.SPFAAllInto(ws, ins.G, shortest.CostWeight)
+		shortest.SPFAAllCSRInto(ws, c, shortest.LinCost, nil)
 	}
 }
 

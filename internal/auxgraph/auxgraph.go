@@ -53,6 +53,10 @@ type Aux struct {
 	// H is the layered graph. Edge delays are residual delays; edge costs
 	// carry the residual cost for bookkeeping (wrap edges are (0,0)).
 	H *graph.Digraph
+	// CSR is H packed once for the negative-cycle kernels. H is built by
+	// AddEdge alone and never flipped, so its rows list edges in exactly
+	// H.Out order and a CSR search visits edges as one over H would.
+	CSR *graph.CSR
 	// Base is the residual graph the layers were built over.
 	Base *graph.Digraph
 	// V is the anchor vertex whose copies carry wrap edges.
@@ -68,56 +72,26 @@ type Aux struct {
 }
 
 // Build constructs the auxiliary graph of the given kind. B must be ≥ 1.
+// A TwoSided graph is BuildShared with the single anchor v.
 func Build(base *graph.Digraph, v graph.NodeID, bound int64, kind Kind) *Aux {
-	if bound < 1 {
-		//lint:allow nopanic B is solver-computed and ≥ 1 by construction; programmer error
-		panic(fmt.Sprintf("auxgraph: budget %d < 1", bound))
+	if kind == TwoSided {
+		return BuildShared(base, []graph.NodeID{v}, bound)
 	}
-	a := &Aux{Base: base, V: v, B: bound, Kind: kind}
+	a := layered(base, v, bound, kind)
 	switch kind {
-	case Plus, Minus:
-		a.lo, a.layers = 0, bound+1
-	case TwoSided:
-		a.lo, a.layers = -bound, 2*bound+1
+	case Plus:
+		for i := int64(1); i <= bound; i++ {
+			a.wrap(v, i, 0)
+		}
+	case Minus:
+		for i := int64(0); i < bound; i++ {
+			a.wrap(v, i, bound)
+		}
 	default:
 		//lint:allow nopanic exhaustive Kind switch; unreachable
 		panic("auxgraph: unknown kind")
 	}
-	n := base.NumNodes()
-	a.H = graph.New(int(a.layers) * n)
-	// Layered copies of every base edge.
-	for _, e := range base.EdgesView() {
-		for l := a.lo; l <= a.hi(); l++ {
-			nl := l + e.Cost //lint:allow weightovf layer index: |l| ≤ B and cost is MaxWeight-capped
-			if nl < a.lo || nl > a.hi() {
-				continue
-			}
-			a.H.AddEdge(a.node(e.From, l), a.node(e.To, nl), e.Cost, e.Delay)
-			a.resEdge = append(a.resEdge, e.ID)
-		}
-	}
-	// Wrap edges at the anchor.
-	switch kind {
-	case Plus:
-		for i := int64(1); i <= bound; i++ {
-			a.H.AddEdge(a.node(v, i), a.node(v, 0), 0, 0)
-			a.resEdge = append(a.resEdge, -1)
-		}
-	case Minus:
-		for i := int64(0); i < bound; i++ {
-			a.H.AddEdge(a.node(v, i), a.node(v, bound), 0, 0)
-			a.resEdge = append(a.resEdge, -1)
-		}
-	case TwoSided:
-		for b := -bound; b <= bound; b++ {
-			if b == 0 {
-				continue
-			}
-			a.H.AddEdge(a.node(v, b), a.node(v, 0), 0, 0)
-			a.resEdge = append(a.resEdge, -1)
-		}
-	}
-	return a
+	return a.pack()
 }
 
 // BuildShared constructs a TwoSided layered graph with wrap edges at every
@@ -126,18 +100,34 @@ func Build(base *graph.Digraph, v graph.NodeID, bound int64, kind Kind) *Aux {
 // identical to a single-anchor TwoSided graph; a.V is set to the first
 // anchor for display only.
 func BuildShared(base *graph.Digraph, anchors []graph.NodeID, bound int64) *Aux {
-	if bound < 1 {
-		//lint:allow nopanic B is solver-computed and ≥ 1 by construction; programmer error
-		panic(fmt.Sprintf("auxgraph: budget %d < 1", bound))
-	}
 	if len(anchors) == 0 {
 		//lint:allow nopanic callers derive anchors from ReversedSeeds and check emptiness first
 		panic("auxgraph: no anchors")
 	}
-	a := &Aux{Base: base, V: anchors[0], B: bound, Kind: TwoSided,
-		lo: -bound, layers: 2*bound + 1}
-	n := base.NumNodes()
-	a.H = graph.New(int(a.layers) * n)
+	a := layered(base, anchors[0], bound, TwoSided)
+	for _, v := range anchors {
+		for b := -bound; b <= bound; b++ {
+			if b != 0 {
+				a.wrap(v, b, 0)
+			}
+		}
+	}
+	return a.pack()
+}
+
+// layered allocates the Aux of the given kind and adds the layered copies
+// of every base edge: the copy of u→v at layer l runs to layer l + c(u→v)
+// whenever that layer exists. Wrap edges are left to the caller.
+func layered(base *graph.Digraph, v graph.NodeID, bound int64, kind Kind) *Aux {
+	if bound < 1 {
+		//lint:allow nopanic B is solver-computed and ≥ 1 by construction; programmer error
+		panic(fmt.Sprintf("auxgraph: budget %d < 1", bound))
+	}
+	a := &Aux{Base: base, V: v, B: bound, Kind: kind, layers: bound + 1}
+	if kind == TwoSided {
+		a.lo, a.layers = -bound, 2*bound+1
+	}
+	a.H = graph.New(int(a.layers) * base.NumNodes())
 	for _, e := range base.EdgesView() {
 		for l := a.lo; l <= a.hi(); l++ {
 			nl := l + e.Cost //lint:allow weightovf layer index: |l| ≤ B and cost is MaxWeight-capped
@@ -148,15 +138,19 @@ func BuildShared(base *graph.Digraph, anchors []graph.NodeID, bound int64) *Aux 
 			a.resEdge = append(a.resEdge, e.ID)
 		}
 	}
-	for _, v := range anchors {
-		for b := -bound; b <= bound; b++ {
-			if b == 0 {
-				continue
-			}
-			a.H.AddEdge(a.node(v, b), a.node(v, 0), 0, 0)
-			a.resEdge = append(a.resEdge, -1)
-		}
-	}
+	return a
+}
+
+// wrap adds the zero-weight wrap edge from v's copy at layer `from` to its
+// copy at layer `to`.
+func (a *Aux) wrap(v graph.NodeID, from, to int64) {
+	a.H.AddEdge(a.node(v, from), a.node(v, to), 0, 0)
+	a.resEdge = append(a.resEdge, -1)
+}
+
+// pack freezes the finished H into its CSR view.
+func (a *Aux) pack() *Aux {
+	a.CSR = graph.NewCSR(a.H)
 	return a
 }
 

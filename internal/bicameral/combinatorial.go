@@ -74,7 +74,6 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 		}
 	}
 	k := int64(rg.R.NumNodes()+1)*maxW + 1
-	wOf := func(e graph.Edge) int64 { return p.Weight(e)*k + e.Delay } //lint:allow weightovf Find's entry guard keeps |Δ|·maxW·K below 2^61
 
 	var best Candidate
 	haveBest := false
@@ -109,7 +108,8 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 	// Find's overflow guard keeps |du| < 2^61, so the sum cannot overflow.
 	// The lexicographic weights in LinWeight form: W(e)·K + d and W(e)·K + c
 	// expanded over W(e) = ΔC·d − ΔD·c (two's-complement distributivity
-	// keeps them bitwise equal to the closure forms at any magnitude).
+	// keeps them bitwise equal to the unexpanded forms at any magnitude).
+	// The layered sweeps below reuse the delay-lexicographic weights[0].
 	weights := []shortest.LinWeight{
 		{Q: -p.DeltaD * k, P: p.DeltaC*k + 1},
 		{Q: -p.DeltaD*k + 1, P: p.DeltaC * k},
@@ -199,7 +199,7 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 		st.LastBudget = b
 		a := auxgraph.BuildShared(rg.R, seeds, b)
 		st.Searches++
-		hCyc, negFound, _ := shortest.SPFAAllBoundedInto(ws, a.H, wOf, relaxBudget)
+		hCyc, negFound, _ := shortest.SPFAAllBoundedCSRInto(ws, a.CSR, weights[0], relaxBudget)
 		if negFound {
 			cands := candidatesFromWalk(rg, a, hCyc.Edges, p, &st)
 			for _, c := range cands {
@@ -221,7 +221,7 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 			if int64(len(seeds))*(2*b+1)*nodes64 > maxStates {
 				perSeed = nil
 			}
-			if cand, found := sweepSeeds(rg, perSeed, b, wOf, relaxBudget, p, o, &st); found {
+			if cand, found := sweepSeeds(rg, perSeed, b, weights[0], relaxBudget, p, o, &st); found {
 				return cand, st, true
 			}
 		}

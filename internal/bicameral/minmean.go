@@ -21,32 +21,34 @@ func findMinRatio(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bo
 	if len(seeds) == 0 {
 		return Candidate{}, st, false
 	}
-	cHat := func(e graph.Edge) int64 {
-		if e.Cost < 0 {
-			return 0
-		}
-		return e.Cost
-	}
 	// One workspace for the whole parametric search: up to ~50 SPFA sweeps
 	// share it (extracted cycles are fresh slices, so reuse is safe).
 	ws := shortest.NewWorkspace(rg.R.NumNodes())
 
 	// Fast exits: a plain negative-delay cycle (the μ → −∞ limit).
 	st.Searches++
-	if _, cyc, ok := shortest.SPFAAllInto(ws, rg.R, shortest.DelayWeight); !ok {
+	if _, cyc, ok := shortest.SPFAAllCSRInto(ws, rg.View(), shortest.LinDelay, nil); !ok {
 		if cand, good := classifyCycle(rg, cyc, p, &st); good {
 			return cand, st, true
 		}
 	}
 
 	// Parametric search: the most negative feasible ratio μ = d/ĉ over
-	// cycles with ĉ > 0. Binary search on p/q with integer weights.
+	// cycles with ĉ > 0. Binary search on p/q with integer weights. The
+	// search runs on a private CSR of the residual whose negative costs are
+	// clamped to ĉ = 0, so d − μ·ĉ is the linear weight {Q: −μ, P: 1}.
+	clamped := graph.NewCSR(rg.R)
 	sumD := int64(0)
-	for _, e := range rg.R.EdgesView() {
-		if e.Delay >= 0 {
-			sumD += e.Delay //lint:allow weightovf Σ|d| over MaxWeight-capped edges; ≤ m·MaxWeight
+	for i := 0; i < clamped.NumEdges(); i++ {
+		id := graph.EdgeID(i)
+		d := clamped.Delay(id)
+		if clamped.Cost(id) < 0 {
+			clamped.SetWeights(id, 0, d)
+		}
+		if d >= 0 {
+			sumD += d
 		} else {
-			sumD -= e.Delay
+			sumD -= d
 		}
 	}
 	lo, hi := -sumD, int64(0) // μ ∈ [−Σ|d|, 0]
@@ -54,9 +56,8 @@ func findMinRatio(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bo
 	haveCycle := false
 	for iter := 0; iter < 48 && lo < hi; iter++ {
 		mid := lo + (hi-lo)/2 // try to certify a cycle with d − μ·ĉ < 0
-		w := func(e graph.Edge) int64 { return e.Delay - mid*cHat(e) }
 		st.Searches++
-		if _, cyc, ok := shortest.SPFAAllInto(ws, rg.R, w); !ok {
+		if _, cyc, ok := shortest.SPFAAllCSRInto(ws, clamped, shortest.LinWeight{Q: -mid, P: 1}, nil); !ok {
 			bestCycle = cyc
 			haveCycle = true
 			hi = mid // a cycle with ratio < mid exists: tighten upward bound

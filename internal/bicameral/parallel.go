@@ -110,7 +110,7 @@ type seedResult struct {
 // escalate the budget.
 //
 //krsp:terminates(per-seed searches are relaxation-budgeted, and the stop-index CAS retries on a monotonically decreasing value)
-func sweepSeeds(rg *residual.Graph, perSeed []graph.NodeID, b int64, wOf shortest.Weight, relaxBudget int, p Params, o Options, st *Stats) (Candidate, bool) {
+func sweepSeeds(rg *residual.Graph, perSeed []graph.NodeID, b int64, lw shortest.LinWeight, relaxBudget int, p Params, o Options, st *Stats) (Candidate, bool) {
 	n := len(perSeed)
 	if n == 0 {
 		return Candidate{}, false
@@ -140,9 +140,9 @@ func sweepSeeds(rg *residual.Graph, perSeed []graph.NodeID, b int64, wOf shortes
 	var stopAt atomic.Int64 // lowest seed index with a qualifying candidate
 	stopAt.Store(int64(n))
 	run := func(i, worker int) {
-		av := auxgraph.Build(rg.R, perSeed[i], b, auxgraph.TwoSided)
+		av := auxgraph.BuildShared(rg.R, perSeed[i:i+1], b)
 		r := seedResult{ran: true}
-		cyc, found, _ := shortest.SPFAAllBoundedInto(wss[worker], av.H, wOf, relaxBudget)
+		cyc, found, _ := shortest.SPFAAllBoundedCSRInto(wss[worker], av.CSR, lw, relaxBudget)
 		if found {
 			for _, c := range candidatesFromWalk(rg, av, cyc.Edges, p, &r.local) {
 				if c.Type != TypeNone {

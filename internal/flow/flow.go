@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/cancel"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/pq"
@@ -132,7 +131,7 @@ func (f UnitFlow) Weight(g *graph.Digraph, w shortest.Weight) int64 {
 // (problem inputs are; residual graphs are handled elsewhere). Returns
 // ErrInfeasible if fewer than k edge-disjoint paths exist.
 func MinCostKFlow(g *graph.Digraph, s, t graph.NodeID, k int, w shortest.Weight) (UnitFlow, error) {
-	return minCostKFlow(g, s, t, k, w, nil, nil)
+	return minCostKFlow(g, s, t, k, w, nil)
 }
 
 // MinCostKFlowMetered is MinCostKFlow reporting call/augmentation/
@@ -140,16 +139,7 @@ func MinCostKFlow(g *graph.Digraph, s, t graph.NodeID, k int, w shortest.Weight)
 // costs nothing; counts are accumulated in locals and folded into the
 // atomic counters once per call, at the exits.
 func MinCostKFlowMetered(g *graph.Digraph, s, t graph.NodeID, k int, w shortest.Weight, m *obs.FlowMetrics) (UnitFlow, error) {
-	return minCostKFlow(g, s, t, k, w, m, nil)
-}
-
-// MinCostKFlowCancel is MinCostKFlowMetered polling a Canceller in its
-// Dijkstra pop loop: once c stops, the run abandons its partial flow and
-// returns cancel.ErrCancelled. A nil Canceller costs one branch per pop.
-// core.Phase1 threads its SolveCtx canceller through here so the Lagrangian
-// search honors deadlines between and within augmentation rounds.
-func MinCostKFlowCancel(g *graph.Digraph, s, t graph.NodeID, k int, w shortest.Weight, m *obs.FlowMetrics, c *cancel.Canceller) (UnitFlow, error) {
-	return minCostKFlow(g, s, t, k, w, m, c)
+	return minCostKFlow(g, s, t, k, w, m)
 }
 
 // recordFlow folds one minCostKFlow run into the sink.
@@ -191,7 +181,7 @@ func augmentAlong(g *graph.Digraph, parent []arc, inFlow []bool, s, t graph.Node
 	}
 }
 
-func minCostKFlow(g *graph.Digraph, s, t graph.NodeID, k int, w shortest.Weight, m *obs.FlowMetrics, c *cancel.Canceller) (UnitFlow, error) {
+func minCostKFlow(g *graph.Digraph, s, t graph.NodeID, k int, w shortest.Weight, m *obs.FlowMetrics) (UnitFlow, error) {
 	if k < 0 {
 		return UnitFlow{}, fmt.Errorf("flow: negative k=%d", k)
 	}
@@ -227,10 +217,6 @@ func minCostKFlow(g *graph.Digraph, s, t graph.NodeID, k int, w shortest.Weight,
 		h.Reset()
 		h.Push(int(s), 0)
 		for h.Len() > 0 {
-			if c.Poll() {
-				recordFlow(m, rounds, relaxed, false)
-				return UnitFlow{}, cancel.ErrCancelled
-			}
 			ui, du := h.Pop()
 			u := graph.NodeID(ui)
 			if settled[u] {

@@ -28,6 +28,7 @@ func TestCSRKernelsCarryNoalloc(t *testing.T) {
 	want := map[string]bool{
 		"DijkstraCSRInto":       false,
 		"SPFAAllCSRInto":        false,
+		"SPFAAllBoundedCSRInto": false,
 		"BellmanFordAllCSRInto": false,
 	}
 	for _, pkg := range prog.Packages {

@@ -138,8 +138,8 @@ func TestProposition7_ApplyPreservesKDisjointFlow(t *testing.T) {
 		rg := Build(g, fl.Edges)
 		// Find any cycle in the residual graph (by weighting all edges −1
 		// any cycle is "negative"); skip if none.
-		cyc, found := shortest.NegativeCycle(rg.R, func(e graph.Edge) int64 { return -1 })
-		if !found {
+		_, cyc, acyclic := shortest.BellmanFordAll(rg.R, func(e graph.Edge) int64 { return -1 })
+		if acyclic {
 			return true
 		}
 		next, err := rg.Apply(cyc)
@@ -235,8 +235,8 @@ func TestLemma9_NegativeDelayCycleExists(t *testing.T) {
 			return true // current solution already delay-minimal, skip
 		}
 		rg := Build(g, fc.Edges)
-		_, found := shortest.NegativeCycle(rg.R, shortest.DelayWeight)
-		return found
+		_, _, noNegative := shortest.BellmanFordAll(rg.R, shortest.DelayWeight)
+		return !noNegative
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -6,23 +6,17 @@ import (
 
 // BellmanFord computes shortest paths from s under w, allowing negative
 // weights. If a negative cycle is reachable from s, ok=false and the cycle
-// is returned; otherwise ok=true and cycle is empty.
+// is returned; otherwise ok=true and cycle is empty. It is the pass-based
+// reference over a Digraph: the solve path runs the CSR kernels, and tests
+// check them against this and BellmanFordAll.
 func BellmanFord(g *graph.Digraph, s graph.NodeID, w Weight) (t Tree, cycle graph.Cycle, ok bool) {
-	return BellmanFordInto(NewWorkspace(g.NumNodes()), g, s, w)
-}
-
-// BellmanFordInto is BellmanFord over caller-provided scratch. The returned
-// Tree aliases the workspace (see Workspace).
-//
-//krsp:noalloc
-func BellmanFordInto(ws *Workspace, g *graph.Digraph, s graph.NodeID, w Weight) (Tree, graph.Cycle, bool) {
-	t := ws.tree(g.NumNodes())
+	t = NewWorkspace(g.NumNodes()).tree(g.NumNodes())
 	for v := range t.Dist {
 		t.Dist[v] = Inf
 		t.Parent[v] = -1
 	}
 	t.Dist[s] = 0
-	return bfCore(ws, g, w, t)
+	return bfCore(g, w, t)
 }
 
 // BellmanFordAll runs Bellman–Ford from a virtual super-source connected to
@@ -30,32 +24,14 @@ func BellmanFordInto(ws *Workspace, g *graph.Digraph, s graph.NodeID, w Weight) 
 // negative cycle anywhere in the graph; otherwise the distances form valid
 // potentials: dist[v] ≤ dist[u] + w(u→v) for every edge.
 func BellmanFordAll(g *graph.Digraph, w Weight) (t Tree, cycle graph.Cycle, ok bool) {
-	return BellmanFordAllInto(NewWorkspace(g.NumNodes()), g, w)
+	return bfCore(g, w, NewWorkspace(g.NumNodes()).zeroTree(g.NumNodes()))
 }
 
-// BellmanFordAllInto is BellmanFordAll over caller-provided scratch. The
-// returned Tree aliases the workspace (see Workspace).
-//
-//krsp:noalloc
-func BellmanFordAllInto(ws *Workspace, g *graph.Digraph, w Weight) (Tree, graph.Cycle, bool) {
-	t := ws.tree(g.NumNodes())
-	for v := range t.Dist {
-		t.Dist[v] = 0
-		t.Parent[v] = -1
-	}
-	return bfCore(ws, g, w, t)
-}
-
-func bfCore(ws *Workspace, g *graph.Digraph, w Weight, t Tree) (Tree, graph.Cycle, bool) {
+func bfCore(g *graph.Digraph, w Weight, t Tree) (Tree, graph.Cycle, bool) {
 	n := g.NumNodes()
 	edges := g.EdgesView()
 	var lastRelaxed graph.NodeID = -1
 	for pass := 0; pass < n; pass++ {
-		if ws.cancel.Check() {
-			// Cancelled between passes: conservative "no cycle" verdict;
-			// solve-path callers re-check the Canceller (SetCancel contract).
-			return t, graph.Cycle{}, true
-		}
 		changed := false
 		for _, e := range edges {
 			if t.Dist[e.From] == Inf {
@@ -92,7 +68,6 @@ func extractParentCycle(g *graph.Digraph, parent []graph.EdgeID, start graph.Nod
 	v := start
 	for {
 		id := parent[v]
-		//lint:allow contracts cold path: runs once per extracted cycle, ≤ n appends; counted in the bench-guard alloc budget
 		revEdges = append(revEdges, id)
 		v = g.Edge(id).From
 		if v == start {
@@ -105,43 +80,4 @@ func extractParentCycle(g *graph.Digraph, parent []graph.EdgeID, start graph.Nod
 		revEdges[i], revEdges[j] = revEdges[j], revEdges[i]
 	}
 	return graph.Cycle{Edges: revEdges}
-}
-
-// NegativeCycle finds any negative-weight cycle in g under w, returning
-// found=false if none exists. When found, the returned cycle is extracted
-// from Bellman–Ford parent pointers, has strictly negative total weight,
-// and is vertex-simple.
-func NegativeCycle(g *graph.Digraph, w Weight) (graph.Cycle, bool) {
-	return NegativeCycleInto(NewWorkspace(g.NumNodes()), g, w)
-}
-
-// NegativeCycleInto is NegativeCycle over caller-provided scratch.
-//
-//krsp:noalloc
-func NegativeCycleInto(ws *Workspace, g *graph.Digraph, w Weight) (graph.Cycle, bool) {
-	_, cyc, ok := BellmanFordAllInto(ws, g, w)
-	if ok {
-		return graph.Cycle{}, false
-	}
-	return cyc, true
-}
-
-// Potentials returns node potentials π with π[v] ≤ π[u] + w(u→v) for every
-// edge (so reduced weights are nonnegative), or found=false if g has a
-// negative cycle under w. Unreachable is impossible here since the virtual
-// super-source reaches everything.
-func Potentials(g *graph.Digraph, w Weight) ([]int64, bool) {
-	return PotentialsInto(NewWorkspace(g.NumNodes()), g, w)
-}
-
-// PotentialsInto is Potentials over caller-provided scratch. The returned
-// slice aliases the workspace (see Workspace).
-//
-//krsp:noalloc
-func PotentialsInto(ws *Workspace, g *graph.Digraph, w Weight) ([]int64, bool) {
-	t, _, ok := BellmanFordAllInto(ws, g, w)
-	if !ok {
-		return nil, false
-	}
-	return t.Dist, true
 }

@@ -38,13 +38,13 @@ func LinCombine(q, p int64) LinWeight { return LinWeight{Q: q, P: p} }
 // touching the graph. Callers guarantee |du| < 2^61 so the sum cannot wrap.
 const maskedW = int64(1) << 62
 
-func defaultBudgetCSR(c *graph.CSR) int {
+func defaultBudget(c *graph.CSR) int {
 	return 4*c.NumNodes()*c.NumEdges() + 256
 }
 
 // DijkstraCSRInto is DijkstraInto over a CSR view: shortest paths from s
 // under lw, all selected weights nonnegative (panics otherwise, same
-// contract as Dijkstra). Iteration follows the view's CURRENT orientation
+// contract as DijkstraInto). Iteration follows the view's CURRENT orientation
 // in ascending edge-ID order, which is bit-identical to running DijkstraInto
 // on the Digraph the view mirrors.
 //
@@ -132,23 +132,20 @@ func DijkstraCSRInto(ws *Workspace, c *graph.CSR, s graph.NodeID, lw LinWeight) 
 	return t
 }
 
-// SPFAAllCSRInto is SPFAAllInto over a CSR view: negative-cycle detection
-// from a virtual super-source under lw, with an optional mask — edges whose
-// alive entry is false are weighted by the masking sentinel and can never
-// relax (a nil mask keeps every edge). Falls back to the pass-based CSR
-// Bellman–Ford when the relaxation budget blows, mirroring SPFAAllInto's
-// verdict contract (including the conservative "no cycle" on cancellation).
+// SPFAAllCSRInto is negative-cycle detection over a CSR view from a virtual
+// super-source (all distances start at 0) under lw, with an optional mask —
+// edges whose alive entry is false are weighted by the masking sentinel and
+// can never relax (a nil mask keeps every edge). It returns ok=false with a
+// vertex-simple negative cycle, or ok=true with distances that are valid
+// potentials: dist[v] ≤ dist[u] + w(u→v) for every live edge. When the
+// relaxation budget blows without a verdict it falls back to the pass-based
+// BellmanFordAllCSRInto, which always terminates with a proof; a cancelled
+// run reports the conservative "no cycle" (see Workspace.SetCancel).
 //
 //krsp:noalloc
 //krsp:inbounds
 func SPFAAllCSRInto(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool) (Tree, graph.Cycle, bool) {
-	n := c.NumNodes()
-	t := ws.tree(n)
-	for v := range t.Dist {
-		t.Dist[v] = 0
-		t.Parent[v] = -1 //lint:allow boundsafe ws.tree(n) sizes Dist and Parent to the same length
-	}
-	tree, cyc, ok, done := spfaCSRCore(ws, c, lw, alive, t, defaultBudgetCSR(c))
+	tree, cyc, ok, done := spfaCSRCore(ws, c, lw, alive, ws.zeroTree(c.NumNodes()), defaultBudget(c))
 	if done {
 		return tree, cyc, ok
 	}
@@ -158,13 +155,37 @@ func SPFAAllCSRInto(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool) (Tr
 	return BellmanFordAllCSRInto(ws, c, lw, alive)
 }
 
-// spfaCSRCore is spfaCore over a CSR view (all-sources seeding only, which
-// is the solve-path shape). Relaxation order, budget accounting, pathLen
-// verification and cycle extraction all mirror spfaCore exactly.
+// SPFAAllBoundedCSRInto is negative-cycle detection over a CSR view with a
+// caller-given relaxation budget and no exact-distance promise: it returns
+// (cycle, true, true) on detection, (_, false, true) when the view is
+// certified cycle-free, and (_, false, false) when the budget ran out or the
+// workspace's Canceller stopped first (no verdict). There is no Bellman–Ford
+// fallback, so large derived graphs (the layered auxiliary graphs) keep
+// worst-case time linear in the budget instead of O(V·E).
+//
+//krsp:noalloc
+//krsp:inbounds
+func SPFAAllBoundedCSRInto(ws *Workspace, c *graph.CSR, lw LinWeight, budget int) (graph.Cycle, bool, bool) {
+	_, cyc, ok, done := spfaCSRCore(ws, c, lw, nil, ws.zeroTree(c.NumNodes()), budget)
+	if !done {
+		return graph.Cycle{}, false, false
+	}
+	return cyc, !ok, true
+}
+
+// spfaCSRCore is the queue-based Bellman–Ford variant (SPFA) seeded with
+// every vertex, walking each dequeued vertex's current adjacency in
+// ascending edge-ID order. It returns done=false when its relaxation budget
+// is exhausted or its Canceller stops before a certified verdict; callers
+// then fall back to the pass-based scan or accept the non-verdict.
 //
 //krsp:inbounds
 func spfaCSRCore(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool, t Tree, budget int) (Tree, graph.Cycle, bool, bool) {
 	n := c.NumNodes()
+	// pathLen[v] is the edge count of the tentative shortest walk to v; a
+	// walk of ≥ n edges repeats a vertex, certifying a negative cycle (the
+	// correct SPFA criterion — per-vertex relax counts are NOT bounded by n
+	// on negative-cycle-free graphs).
 	inQueue, pathLen, queue := ws.resetFlags(n)
 	defer func() { ws.queue = queue[:0] }() //lint:allow boundsafe [:0] never exceeds capacity; reslicing hands the grown buffer back to the workspace
 	relaxations := 0
@@ -175,6 +196,8 @@ func spfaCSRCore(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool, t Tree
 	head := 0
 	for head < len(queue) {
 		if ws.cancel.Poll() {
+			// Cancelled: no verdict. Callers distinguish this from budget
+			// exhaustion via Canceller.Stopped (see Workspace.SetCancel).
 			ws.recordSPFA(relaxations, false)
 			return t, graph.Cycle{}, false, false
 		}
@@ -220,14 +243,16 @@ func spfaCSRCore(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool, t Tree
 				t.Parent[to] = id
 				pathLen[to] = pathLen[u] + 1
 				if pathLen[to] >= n {
-					// Same lazy-snapshot verification as spfaCore: confirm a
-					// repeated vertex on the live parent chain before trusting
-					// the negative-cycle trigger.
-					if at, cyclic := chainRepeatCSR(c, t.Parent, to); cyclic {
+					// Likely negative cycle. pathLen is a lazy snapshot, so
+					// verify against the live parent graph: a repeated vertex
+					// on the chain is a genuine negative cycle; a rootward
+					// exit means the trigger was stale — record the true
+					// length and move on.
+					if at, cyclic := chainRepeat(c, t.Parent, to); cyclic {
 						ws.recordSPFA(relaxations, true)
 						return t, extractParentCycleCSR(c, t.Parent, at), false, true
 					}
-					pathLen[to] = chainLengthCSR(c, t.Parent, to)
+					pathLen[to] = chainLength(c, t.Parent, to)
 				}
 				if !inQueue[to] {
 					inQueue[to] = true
@@ -240,19 +265,16 @@ func spfaCSRCore(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool, t Tree
 	return t, graph.Cycle{}, true, true
 }
 
-// BellmanFordAllCSRInto is BellmanFordAllInto over a CSR view with the same
-// optional mask as SPFAAllCSRInto. The per-pass edge scan walks IDs
-// ascending in current orientation — identical to bfCore's EdgesView scan.
+// BellmanFordAllCSRInto is the pass-based Bellman–Ford over a CSR view from
+// the virtual super-source, with the same optional mask and verdict
+// contract as SPFAAllCSRInto. The per-pass edge scan walks IDs ascending in
+// current orientation, exactly as BellmanFordAll scans a Digraph.
 //
 //krsp:noalloc
 //krsp:inbounds
 func BellmanFordAllCSRInto(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool) (Tree, graph.Cycle, bool) {
 	n := c.NumNodes()
-	t := ws.tree(n)
-	for v := range t.Dist {
-		t.Dist[v] = 0
-		t.Parent[v] = -1 //lint:allow boundsafe ws.tree(n) sizes Dist and Parent to the same length
-	}
+	t := ws.zeroTree(n)
 	m := c.NumEdges()
 	var lastRelaxed graph.NodeID = -1
 	for pass := 0; pass < n; pass++ {
@@ -289,10 +311,12 @@ func BellmanFordAllCSRInto(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bo
 	return t, extractParentCycleCSR(c, t.Parent, v), false
 }
 
-// chainRepeatCSR is chainRepeat over a CSR view.
+// chainRepeat follows parent pointers from v and reports the first vertex
+// seen twice (a vertex on a parent-graph cycle), or cyclic=false if the
+// chain reaches a root.
 //
 //krsp:terminates(the seen set forces a repeat or a root exit within n steps)
-func chainRepeatCSR(c *graph.CSR, parent []graph.EdgeID, v graph.NodeID) (graph.NodeID, bool) {
+func chainRepeat(c *graph.CSR, parent []graph.EdgeID, v graph.NodeID) (graph.NodeID, bool) {
 	seen := map[graph.NodeID]bool{v: true}
 	for {
 		id := parent[v]
@@ -308,10 +332,11 @@ func chainRepeatCSR(c *graph.CSR, parent []graph.EdgeID, v graph.NodeID) (graph.
 	}
 }
 
-// chainLengthCSR is chainLength over a CSR view.
+// chainLength counts parent-chain edges from v to its root. Callers only
+// invoke it after chainRepeat reported no cycle, so it terminates.
 //
 //krsp:terminates(parent chain is acyclic here, ≤ n edges to the root)
-func chainLengthCSR(c *graph.CSR, parent []graph.EdgeID, v graph.NodeID) int {
+func chainLength(c *graph.CSR, parent []graph.EdgeID, v graph.NodeID) int {
 	length := 0
 	for parent[v] >= 0 {
 		v = c.Tail(parent[v])

@@ -1,8 +1,9 @@
 // Package shortest implements the single-criterion shortest-path substrate:
-// BFS, Dijkstra with potentials, Bellman–Ford with negative-cycle
-// extraction, Karp's minimum mean cycle, and a bicriteria Pareto frontier
-// enumerator. All algorithms take an edge-weight selector so callers can
-// route on cost, delay, or integer combinations q·c + p·d.
+// Dijkstra with potentials, Yen's k shortest paths, and negative-cycle
+// detection with extraction — one SPFA core over graph.CSR plus the
+// pass-based Bellman–Ford it falls back to. Every kernel takes an edge
+// weighting so callers can route on cost, delay, or integer combinations
+// q·c + p·d: a Weight closure on Digraph kernels, a LinWeight on CSR ones.
 package shortest
 
 import (
@@ -55,56 +56,22 @@ func (t Tree) PathTo(g *graph.Digraph, v graph.NodeID) (graph.Path, bool) {
 	return graph.Path{Edges: rev}, true
 }
 
-// BFS returns hop distances from s (Inf if unreachable) and parent edges.
-func BFS(g *graph.Digraph, s graph.NodeID) Tree {
-	n := g.NumNodes()
-	t := Tree{Dist: make([]int64, n), Parent: make([]graph.EdgeID, n)}
-	for v := range t.Dist {
-		t.Dist[v] = Inf
-		t.Parent[v] = -1
-	}
-	t.Dist[s] = 0
-	queue := []graph.NodeID{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, id := range g.Out(u) {
-			e := g.Edge(id)
-			if t.Dist[e.To] == Inf {
-				t.Dist[e.To] = t.Dist[u] + 1
-				t.Parent[e.To] = id
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return t
-}
-
-// Dijkstra computes shortest paths from s under w. All selected weights
-// must be nonnegative; the function panics on a negative weight since that
-// would silently produce wrong answers.
-func Dijkstra(g *graph.Digraph, s graph.NodeID, w Weight) Tree {
-	return DijkstraPotentials(g, s, w, nil)
-}
-
-// DijkstraPotentials computes shortest paths under the reduced weight
-// w(e) + pot[From] − pot[To] (Johnson's technique), returning distances in
-// the ORIGINAL weight. pot may be nil for plain Dijkstra. Reduced weights
-// must be nonnegative; vertices with pot[v] == Inf are treated as removed.
-func DijkstraPotentials(g *graph.Digraph, s graph.NodeID, w Weight, pot []int64) Tree {
-	return DijkstraPotentialsInto(NewWorkspace(g.NumNodes()), g, s, w, pot)
-}
-
-// DijkstraInto is Dijkstra over caller-provided scratch. The returned Tree
-// aliases the workspace (see Workspace).
+// DijkstraInto computes shortest paths from s under w over caller-provided
+// scratch. All selected weights must be nonnegative; the function panics on
+// a negative weight since that would silently produce wrong answers. The
+// returned Tree aliases the workspace (see Workspace).
 //
 //krsp:noalloc
 func DijkstraInto(ws *Workspace, g *graph.Digraph, s graph.NodeID, w Weight) Tree {
 	return DijkstraPotentialsInto(ws, g, s, w, nil)
 }
 
-// DijkstraPotentialsInto is DijkstraPotentials over caller-provided
-// scratch. The returned Tree aliases the workspace (see Workspace).
+// DijkstraPotentialsInto computes shortest paths under the reduced weight
+// w(e) + pot[From] − pot[To] (Johnson's technique) over caller-provided
+// scratch, returning distances in the ORIGINAL weight. pot may be nil for
+// plain Dijkstra. Reduced weights must be nonnegative; vertices with
+// pot[v] == Inf are treated as removed. The returned Tree aliases the
+// workspace (see Workspace).
 //
 //krsp:noalloc
 //krsp:terminates(each vertex finalizes once and the heap holds ≤ m entries)
@@ -164,62 +131,4 @@ func DijkstraPotentialsInto(ws *Workspace, g *graph.Digraph, s graph.NodeID, w W
 		}
 	}
 	return t
-}
-
-// Topological returns a topological order of g, or ok=false if g has a
-// cycle.
-func Topological(g *graph.Digraph) (order []graph.NodeID, ok bool) {
-	n := g.NumNodes()
-	indeg := make([]int, n)
-	for _, e := range g.EdgesView() {
-		indeg[e.To]++
-	}
-	var queue []graph.NodeID
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, graph.NodeID(v))
-		}
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, id := range g.Out(u) {
-			e := g.Edge(id)
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return order, len(order) == n
-}
-
-// DAGShortest computes shortest paths from s in a DAG under w (weights may
-// be negative). ok=false if g is not a DAG.
-func DAGShortest(g *graph.Digraph, s graph.NodeID, w Weight) (Tree, bool) {
-	order, ok := Topological(g)
-	n := g.NumNodes()
-	t := Tree{Dist: make([]int64, n), Parent: make([]graph.EdgeID, n)}
-	for v := range t.Dist {
-		t.Dist[v] = Inf
-		t.Parent[v] = -1
-	}
-	if !ok {
-		return t, false
-	}
-	t.Dist[s] = 0
-	for _, u := range order {
-		if t.Dist[u] == Inf {
-			continue
-		}
-		for _, id := range g.Out(u) {
-			e := g.Edge(id)
-			if nd := t.Dist[u] + w(e); nd < t.Dist[e.To] { //lint:allow weightovf finite Dist is a DAG path sum, |nd| < n*MaxWeight < 2^47
-				t.Dist[e.To] = nd
-				t.Parent[e.To] = id
-			}
-		}
-	}
-	return t, true
 }

@@ -20,36 +20,9 @@ func mkWeighted(t *testing.T) *graph.Digraph {
 	return g
 }
 
-func TestBFS(t *testing.T) {
-	g := mkWeighted(t)
-	tr := BFS(g, 0)
-	want := []int64{0, 1, 1, 2}
-	for v, d := range want {
-		if tr.Dist[v] != d {
-			t.Fatalf("dist[%d]=%d want %d", v, tr.Dist[v], d)
-		}
-	}
-	p, ok := tr.PathTo(g, 3)
-	if !ok || p.Len() != 2 {
-		t.Fatalf("PathTo(3) = %v %v", p, ok)
-	}
-}
-
-func TestBFSUnreachable(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1, 1, 1)
-	tr := BFS(g, 0)
-	if tr.Dist[2] != Inf {
-		t.Fatal("vertex 2 should be unreachable")
-	}
-	if _, ok := tr.PathTo(g, 2); ok {
-		t.Fatal("PathTo unreachable should fail")
-	}
-}
-
 func TestDijkstraCost(t *testing.T) {
 	g := mkWeighted(t)
-	tr := Dijkstra(g, 0, CostWeight)
+	tr := DijkstraInto(NewWorkspace(4), g, 0, CostWeight)
 	want := []int64{0, 1, 3, 4}
 	for v, d := range want {
 		if tr.Dist[v] != d {
@@ -65,9 +38,22 @@ func TestDijkstraCost(t *testing.T) {
 	}
 }
 
+// A vertex with no path from the source stays at Inf and has no path.
+func TestDijkstraUnreachable(t *testing.T) {
+	g := graph.New(3)
+	g.AddEdge(0, 1, 1, 1)
+	tr := DijkstraInto(NewWorkspace(3), g, 0, CostWeight)
+	if tr.Dist[2] != Inf {
+		t.Fatal("vertex 2 should be unreachable")
+	}
+	if _, ok := tr.PathTo(g, 2); ok {
+		t.Fatal("PathTo unreachable should fail")
+	}
+}
+
 func TestDijkstraDelay(t *testing.T) {
 	g := mkWeighted(t)
-	tr := Dijkstra(g, 0, DelayWeight)
+	tr := DijkstraInto(NewWorkspace(4), g, 0, DelayWeight)
 	if tr.Dist[3] != 2 { // 0→2→3: 1+1
 		t.Fatalf("delay dist[3]=%d", tr.Dist[3])
 	}
@@ -81,7 +67,7 @@ func TestDijkstraPanicsOnNegative(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Dijkstra(g, 0, CostWeight)
+	DijkstraInto(NewWorkspace(2), g, 0, CostWeight)
 }
 
 func TestCombineWeight(t *testing.T) {
@@ -97,11 +83,11 @@ func TestDijkstraWithPotentials(t *testing.T) {
 	g.AddEdge(0, 1, 5, 0)
 	g.AddEdge(1, 2, -2, 0)
 	g.AddEdge(0, 2, 4, 0)
-	pot, ok := Potentials(g, CostWeight)
+	pt, _, ok := BellmanFordAll(g, CostWeight)
 	if !ok {
 		t.Fatal("potentials should exist")
 	}
-	tr := DijkstraPotentials(g, 0, CostWeight, pot)
+	tr := DijkstraPotentialsInto(NewWorkspace(3), g, 0, CostWeight, pt.Dist)
 	if tr.Dist[2] != 3 {
 		t.Fatalf("dist[2]=%d want 3", tr.Dist[2])
 	}
@@ -120,7 +106,7 @@ func TestBellmanFordMatchesDijkstraNonneg(t *testing.T) {
 		if !ok {
 			return false // nonnegative weights: no negative cycle possible
 		}
-		dj := Dijkstra(g, 0, CostWeight)
+		dj := DijkstraInto(NewWorkspace(n), g, 0, CostWeight)
 		for v := 0; v < n; v++ {
 			if bf.Dist[v] != dj.Dist[v] {
 				return false
@@ -167,31 +153,41 @@ func TestBellmanFordDetectsNegativeCycle(t *testing.T) {
 
 func TestNegativeCycleAbsent(t *testing.T) {
 	g := mkWeighted(t)
-	if _, found := NegativeCycle(g, CostWeight); found {
-		t.Fatal("found phantom negative cycle")
+	if _, _, ok := BellmanFordAll(g, CostWeight); !ok {
+		t.Fatal("Bellman–Ford found a phantom negative cycle")
+	}
+	if _, _, ok := SPFAAllCSRInto(NewWorkspace(4), graph.NewCSR(g), LinCost, nil); !ok {
+		t.Fatal("SPFA found a phantom negative cycle")
 	}
 }
 
 func TestNegativeCycleUnreachableFromZero(t *testing.T) {
 	// Negative cycle in a component unreachable from vertex 0; the
-	// all-sources variant must still find it.
+	// all-sources searches must still find it.
 	g := graph.New(4)
 	g.AddEdge(0, 1, 1, 0)
 	g.AddEdge(2, 3, -5, 0)
 	g.AddEdge(3, 2, 1, 0)
-	cyc, found := NegativeCycle(g, CostWeight)
-	if !found {
-		t.Fatal("missed negative cycle")
-	}
-	if err := cyc.Validate(g, true); err != nil {
-		t.Fatal(err)
-	}
-	if cyc.Cost(g) >= 0 {
-		t.Fatalf("cycle cost %d", cyc.Cost(g))
+	_, bfCyc, bfOK := BellmanFordAll(g, CostWeight)
+	_, cyc, ok := SPFAAllCSRInto(NewWorkspace(4), graph.NewCSR(g), LinCost, nil)
+	for _, c := range []graph.Cycle{bfCyc, cyc} {
+		if bfOK || ok {
+			t.Fatal("missed negative cycle")
+		}
+		if err := c.Validate(g, true); err != nil {
+			t.Fatal(err)
+		}
+		if c.Cost(g) >= 0 {
+			t.Fatalf("cycle cost %d", c.Cost(g))
+		}
 	}
 }
 
+// TestPotentialsValid: when the all-sources SPFA finds no negative cycle
+// its distances are potentials that make every reduced cost nonnegative;
+// when it finds one, Bellman–Ford must agree that one exists.
 func TestPotentialsValid(t *testing.T) {
+	ws := NewWorkspace(1)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(10)
@@ -199,231 +195,19 @@ func TestPotentialsValid(t *testing.T) {
 		for i := 0; i < 3*n; i++ {
 			g.AddEdge(graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n)), int64(r.Intn(40)-5), 0)
 		}
-		pot, ok := Potentials(g, CostWeight)
+		tr, _, ok := SPFAAllCSRInto(ws, graph.NewCSR(g), LinCost, nil)
 		if !ok {
-			// Negative cycle: verify one actually exists.
-			_, found := NegativeCycle(g, CostWeight)
-			return found
+			_, _, bfOK := BellmanFordAll(g, CostWeight)
+			return !bfOK
 		}
 		for _, e := range g.Edges() {
-			if e.Cost+pot[e.From]-pot[e.To] < 0 {
+			if e.Cost+tr.Dist[e.From]-tr.Dist[e.To] < 0 {
 				return false
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTopologicalAndDAGShortest(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1, 0)
-	g.AddEdge(0, 2, 5, 0)
-	g.AddEdge(1, 2, -10, 0)
-	g.AddEdge(2, 3, 2, 0)
-	order, ok := Topological(g)
-	if !ok || len(order) != 4 {
-		t.Fatalf("topo failed: %v %v", order, ok)
-	}
-	tr, ok := DAGShortest(g, 0, CostWeight)
-	if !ok {
-		t.Fatal("DAGShortest rejected a DAG")
-	}
-	if tr.Dist[3] != -7 {
-		t.Fatalf("dist[3]=%d want -7", tr.Dist[3])
-	}
-	// Add a cycle; both must now fail.
-	g.AddEdge(3, 0, 0, 0)
-	if _, ok := Topological(g); ok {
-		t.Fatal("topo accepted cyclic graph")
-	}
-	if _, ok := DAGShortest(g, 0, CostWeight); ok {
-		t.Fatal("DAGShortest accepted cyclic graph")
-	}
-}
-
-func TestMinMeanCycleSimple(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1, 2, 0)
-	g.AddEdge(1, 0, 2, 0) // mean 2
-	g.AddEdge(1, 2, 1, 0)
-	g.AddEdge(2, 1, 1, 0) // mean 1
-	cyc, num, den, found := MinMeanCycle(g, CostWeight)
-	if !found {
-		t.Fatal("no cycle found")
-	}
-	if err := cyc.Validate(g, true); err != nil {
-		t.Fatal(err)
-	}
-	if num*1 != den*1 { // mean must be exactly 1
-		t.Fatalf("mean %d/%d want 1", num, den)
-	}
-	if got := cyc.Cost(g) * den; got != num*int64(cyc.Len()) {
-		t.Fatalf("extracted cycle mean %d/%d doesn't match reported %d/%d",
-			cyc.Cost(g), cyc.Len(), num, den)
-	}
-}
-
-func TestMinMeanCycleNegative(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1, -3, 0)
-	g.AddEdge(1, 0, 1, 0)
-	g.AddEdge(1, 2, 10, 0)
-	g.AddEdge(2, 1, 10, 0)
-	cyc, num, den, found := MinMeanCycle(g, CostWeight)
-	if !found {
-		t.Fatal("no cycle")
-	}
-	if num >= 0 {
-		t.Fatalf("mean %d/%d should be negative", num, den)
-	}
-	if cyc.Cost(g) != -2 {
-		t.Fatalf("cycle cost %d want -2", cyc.Cost(g))
-	}
-}
-
-func TestMinMeanCycleAcyclic(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1, 1, 0)
-	g.AddEdge(1, 2, 1, 0)
-	if _, _, _, found := MinMeanCycle(g, CostWeight); found {
-		t.Fatal("found cycle in DAG")
-	}
-}
-
-func TestMinMeanCycleMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(6)
-		g := graph.New(n)
-		for i := 0; i < 2*n; i++ {
-			u, v := r.Intn(n), r.Intn(n)
-			if u == v {
-				continue
-			}
-			g.AddEdge(graph.NodeID(u), graph.NodeID(v), int64(r.Intn(21)-10), 0)
-		}
-		bNum, bDen, bFound := bruteMinMean(g)
-		cyc, num, den, found := MinMeanCycle(g, CostWeight)
-		if found != bFound {
-			return false
-		}
-		if !found {
-			return true
-		}
-		if cyc.Validate(g, true) != nil {
-			return false
-		}
-		// Reported mean equals brute force minimum.
-		if num*bDen != bNum*den {
-			return false
-		}
-		// Extracted cycle's mean must not exceed reported mean... it should
-		// equal it; allow ≤ as the DP guarantees ≤ and minimality forces =.
-		return cyc.Cost(g)*den <= num*int64(cyc.Len())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// bruteMinMean enumerates all simple cycles via DFS (tiny graphs only).
-func bruteMinMean(g *graph.Digraph) (num, den int64, found bool) {
-	n := g.NumNodes()
-	var best struct {
-		num, den int64
-		ok       bool
-	}
-	var dfs func(start, cur graph.NodeID, visited map[graph.NodeID]bool, cost int64, length int64)
-	dfs = func(start, cur graph.NodeID, visited map[graph.NodeID]bool, cost int64, length int64) {
-		for _, id := range g.Out(cur) {
-			e := g.Edge(id)
-			if e.To == start && length > 0 {
-				cNum, cDen := cost+e.Cost, length+1
-				if !best.ok || cNum*best.den < best.num*cDen {
-					best.num, best.den, best.ok = cNum, cDen, true
-				}
-				continue
-			}
-			if e.To == start || visited[e.To] || e.To < start {
-				continue // canonical: cycles rooted at their min vertex
-			}
-			visited[e.To] = true
-			dfs(start, e.To, visited, cost+e.Cost, length+1)
-			delete(visited, e.To)
-		}
-	}
-	for v := 0; v < n; v++ {
-		dfs(graph.NodeID(v), graph.NodeID(v), map[graph.NodeID]bool{}, 0, 0)
-	}
-	return best.num, best.den, best.ok
-}
-
-func TestParetoFrontierSmall(t *testing.T) {
-	g := mkWeighted(t)
-	fr, ok := ParetoFrontier(g, 0, 3, 0)
-	if !ok {
-		t.Fatal("bounded?")
-	}
-	// s→t paths: 0-1-3 (8,12), 0-1-2-3 (4,12), 0-2-3 (5,2).
-	// (4,12) and (5,2) are the frontier; (8,12) dominated by (4,12).
-	if len(fr) != 2 {
-		t.Fatalf("frontier = %+v", fr)
-	}
-	if fr[0].Cost != 4 || fr[0].Delay != 12 || fr[1].Cost != 5 || fr[1].Delay != 2 {
-		t.Fatalf("frontier = %+v", fr)
-	}
-	for _, l := range fr {
-		if err := l.Path.Validate(g, 0, 3, true); err != nil {
-			t.Fatal(err)
-		}
-		if l.Path.Cost(g) != l.Cost || l.Path.Delay(g) != l.Delay {
-			t.Fatal("label metrics mismatch path")
-		}
-	}
-}
-
-func TestParetoFrontierLabelCap(t *testing.T) {
-	g := mkWeighted(t)
-	_, ok := ParetoFrontier(g, 0, 3, 1)
-	if ok {
-		t.Fatal("cap of 1 label should report incomplete")
-	}
-}
-
-func TestParetoFrontierNonDominated(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 3 + r.Intn(8)
-		g := graph.New(n)
-		for i := 0; i < 3*n; i++ {
-			u, v := r.Intn(n), r.Intn(n)
-			if u == v {
-				continue
-			}
-			g.AddEdge(graph.NodeID(u), graph.NodeID(v), int64(r.Intn(20)), int64(r.Intn(20)))
-		}
-		fr, ok := ParetoFrontier(g, 0, graph.NodeID(n-1), 100000)
-		if !ok {
-			return true // cap hit, skip
-		}
-		for i := range fr {
-			for j := range fr {
-				if i != j && fr[i].Cost <= fr[j].Cost && fr[i].Delay <= fr[j].Delay {
-					return false // fr[j] dominated
-				}
-			}
-		}
-		for _, l := range fr {
-			if l.Path.Validate(g, 0, graph.NodeID(n-1), false) != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

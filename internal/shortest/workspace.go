@@ -46,13 +46,13 @@ func (ws *Workspace) SetMetrics(m *obs.ShortestMetrics) { ws.metrics = m }
 // Cancellers are single-goroutine state — a workspace handed to a parallel
 // worker must carry that worker's own cancel.Child.
 //
-// Cancellation semantics per kernel family: the bounded kernels
-// (SPFAAllBoundedInto) report their usual no-verdict; the verdict kernels
-// (SPFAInto, SPFAAllInto, BellmanFord*) return ok=true with an empty cycle,
-// i.e. a conservative "nothing found". Solve-path callers must therefore
-// check their Canceller after a kernel returns before trusting a negative
-// verdict — core treats a stopped Canceller as "degrade now", never as
-// proof that no cycle exists.
+// Cancellation semantics per kernel family: the bounded kernel
+// (SPFAAllBoundedCSRInto) reports its usual no-verdict; the verdict kernels
+// (SPFAAllCSRInto, BellmanFordAllCSRInto) return ok=true with an empty
+// cycle, i.e. a conservative "nothing found". Solve-path callers
+// must therefore check their Canceller after a kernel returns before
+// trusting a negative verdict — core treats a stopped Canceller as "degrade
+// now", never as proof that no cycle exists.
 func (ws *Workspace) SetCancel(c *cancel.Canceller) { ws.cancel = c }
 
 // recordSPFA folds one kernel run into the attached sink, if any. Counts
@@ -92,6 +92,19 @@ func (ws *Workspace) Grow(n int) {
 func (ws *Workspace) tree(n int) Tree {
 	ws.Grow(n)
 	return Tree{Dist: ws.dist[:n], Parent: ws.parent[:n]}
+}
+
+// zeroTree is tree(n) initialized for the all-sources kernels: every
+// distance 0 (the virtual super-source) and no parent edges.
+func (ws *Workspace) zeroTree(n int) Tree {
+	t := ws.tree(n)
+	for v := range t.Dist {
+		t.Dist[v] = 0
+	}
+	for v := range t.Parent {
+		t.Parent[v] = -1
+	}
+	return t
 }
 
 // resetFlags clears the SPFA bookkeeping for n vertices and returns the

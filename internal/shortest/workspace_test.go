@@ -2,6 +2,7 @@ package shortest
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -37,11 +38,12 @@ func sameTree(t *testing.T, label string, a, b Tree) {
 	}
 }
 
-// TestIntoVariantsMatchAllocating: every *_Into kernel must agree exactly
-// with its allocating wrapper while ONE workspace is reused across many
-// graphs of varying size — the reuse pattern the solver's hot loops rely
-// on. Stale state from a previous (larger or negative-weight) search must
-// never leak into the next result.
+// TestIntoVariantsMatchAllocating: every *_Into kernel run through ONE
+// workspace reused across many graphs of varying size — the reuse pattern
+// the solver's hot loops rely on — must agree exactly with the same kernel
+// on a freshly allocated workspace, and the negative-cycle kernels must
+// agree with the Bellman–Ford reference. Stale state from a previous
+// (larger or negative-weight) search must never leak into the next result.
 func TestIntoVariantsMatchAllocating(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	ws := NewWorkspace(1)
@@ -50,43 +52,42 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		m := r.Intn(4 * n)
 		negative := round%3 == 0
 		g := randGraphWS(r, n, m, negative)
+		c := graph.NewCSR(g)
 		s := graph.NodeID(r.Intn(n))
 
 		if !negative {
-			want := DijkstraPotentials(g, s, CostWeight, nil)
+			want := DijkstraPotentialsInto(NewWorkspace(n), g, s, CostWeight, nil)
 			got := DijkstraPotentialsInto(ws, g, s, CostWeight, nil)
 			sameTree(t, "dijkstra", want, got)
+			sameTree(t, "dijkstraCSR", want, DijkstraCSRInto(ws, c, s, LinCost))
 		}
 
-		wantT, wantCyc, wantOK := SPFA(g, s, CostWeight)
-		gotT, gotCyc, gotOK := SPFAInto(ws, g, s, CostWeight)
-		if wantOK != gotOK {
-			t.Fatalf("spfa: ok %v vs %v", wantOK, gotOK)
+		wantT, wantCyc, wantOK := SPFAAllCSRInto(NewWorkspace(n), c, LinCost, nil)
+		gotT, gotCyc, gotOK := SPFAAllCSRInto(ws, c, LinCost, nil)
+		if wantOK != gotOK || !reflect.DeepEqual(wantCyc, gotCyc) {
+			t.Fatalf("spfa: (%v,%v) vs (%v,%v)", wantOK, wantCyc.Edges, gotOK, gotCyc.Edges)
 		}
-		if wantOK {
-			sameTree(t, "spfa", wantT, gotT)
-		} else if len(wantCyc.Edges) != len(gotCyc.Edges) {
-			t.Fatalf("spfa: cycle lengths %d vs %d", len(wantCyc.Edges), len(gotCyc.Edges))
-		}
+		sameTree(t, "spfa", wantT, gotT)
+		checkVerdict(t, "spfa", g, CostWeight, gotT, gotCyc, gotOK)
 
-		wantT, wantCyc, wantOK = BellmanFordAll(g, CostWeight)
-		gotT, gotCyc, gotOK = BellmanFordAllInto(ws, g, CostWeight)
-		if wantOK != gotOK {
-			t.Fatalf("bfAll: ok %v vs %v", wantOK, gotOK)
+		refT, _, refOK := BellmanFordAll(g, CostWeight)
+		gotT, gotCyc, gotOK = BellmanFordAllCSRInto(ws, c, LinCost, nil)
+		if refOK != gotOK || refOK != wantOK {
+			t.Fatalf("bfAll: ok %v vs %v (spfa %v)", refOK, gotOK, wantOK)
 		}
-		if wantOK {
-			sameTree(t, "bfAll", wantT, gotT)
-		} else if len(wantCyc.Edges) != len(gotCyc.Edges) {
-			t.Fatalf("bfAll: cycle lengths %d vs %d", len(wantCyc.Edges), len(gotCyc.Edges))
+		if refOK {
+			sameTree(t, "bfAll", refT, gotT)
 		}
+		checkVerdict(t, "bfAll", g, CostWeight, gotT, gotCyc, gotOK)
 
-		wantCyc2, wantNeg, wantDone := SPFAAllBounded(g, CostWeight, 1<<30)
-		gotCyc2, gotNeg, gotDone := SPFAAllBoundedInto(ws, g, CostWeight, 1<<30)
-		if wantNeg != gotNeg || wantDone != gotDone {
-			t.Fatalf("spfaBounded: (%v,%v) vs (%v,%v)", wantNeg, wantDone, gotNeg, gotDone)
+		wantCyc, wantNeg, wantDone := SPFAAllBoundedCSRInto(NewWorkspace(n), c, LinCost, 1<<30)
+		gotCyc, gotNeg, gotDone := SPFAAllBoundedCSRInto(ws, c, LinCost, 1<<30)
+		if wantNeg != gotNeg || wantDone != gotDone || !reflect.DeepEqual(wantCyc, gotCyc) {
+			t.Fatalf("spfaBounded: (%v,%v,%v) vs (%v,%v,%v)",
+				wantNeg, wantDone, wantCyc.Edges, gotNeg, gotDone, gotCyc.Edges)
 		}
-		if wantNeg && len(wantCyc2.Edges) != len(gotCyc2.Edges) {
-			t.Fatalf("spfaBounded: cycle lengths differ")
+		if gotNeg == refOK {
+			t.Fatalf("spfaBounded: negative=%v but Bellman–Ford ok=%v", gotNeg, refOK)
 		}
 	}
 }
