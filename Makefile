@@ -70,7 +70,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
 
 # One-shot N=5k smoke of the large tier: phase-1 classic vs scaled plus the
-# end-to-end solve. The full N=5k/20k/50k sweep is
+# end-to-end solve. The full sweep (phase 1 at N=5k/20k/50k, end to end at
+# N=2k/5k/20k) is
 #   go test -run '^$$' -bench 'Phase1(Classic|Scaled)N|SolveLargeN' -benchmem .
 bench-large:
 	$(GO) test -run '^$$' -bench 'Phase1ClassicN5k|Phase1ScaledN5k|SolveLargeN5k' -benchtime 1x .
@@ -88,12 +89,13 @@ bench:
 
 # Zero-alloc contracts: core.Solve with Options.Metrics unset must not
 # allocate above the newest baseline, SolveCtx with a live Canceller must
-# match it, the fingerprint+cache miss path must add nothing on top, and
-# the CSR phase-1 kernels must hold their alloc counts flat. -baseline
-# prints the full ns/B/allocs delta table and fails on any allocs/op
-# regression.
+# match it, the fingerprint+cache miss path must add nothing on top, the
+# CSR phase-1 kernels must hold their alloc counts flat, and the N=5k
+# end-to-end solve must hold its bytes. -baseline prints the full
+# ns/B/allocs delta table and fails on any allocs/op regression or on B/op
+# more than 10% above the baseline.
 bench-guard:
-	$(GO) run ./cmd/krspbench -run SolveN60K3,SolveCtxN60K3,SolveN60K3CacheMiss,Phase1ClassicN5k,Phase1ScaledN5k -baseline $(BENCH_BASELINE)
+	$(GO) run ./cmd/krspbench -run SolveN60K3,SolveCtxN60K3,SolveN60K3CacheMiss,Phase1ClassicN5k,Phase1ScaledN5k,SolveLargeN5k -baseline $(BENCH_BASELINE)
 
 # Flight-recorder round trip (DESIGN.md §13): generate an instance, solve
 # it with the recorder armed (krsp -flight), and render the dump with

@@ -1,7 +1,9 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/flow"
@@ -75,18 +77,40 @@ func BenchmarkPhase1ScaledN20k(b *testing.B)  { benchPhase1Scaled(b, 20_000, 3) 
 func BenchmarkPhase1ClassicN50k(b *testing.B) { benchPhase1Classic(b, 50_000, 3) }
 func BenchmarkPhase1ScaledN50k(b *testing.B)  { benchPhase1Scaled(b, 50_000, 3) }
 
-// BenchmarkSolveLargeN5k runs the full pipeline (scaled phase 1 + the
-// cancellation loop) at the 5k tier — the end-to-end row behind the
-// "N=60 → N=5k+" claim, not just the phase-1 kernel.
-func BenchmarkSolveLargeN5k(b *testing.B) {
+// benchSolveLarge runs the full pipeline (scaled phase 1 + the
+// cancellation loop) on largeInstance(n, 3): the end-to-end rows behind the
+// "N=60 → N=5k+" claim, not just the phase-1 kernel. A nonzero deadline
+// bounds each solve as SolveCtx would in krspd; degraded/op reports the
+// share of solves the deadline cut short.
+func benchSolveLarge(b *testing.B, n int, deadline time.Duration) {
 	if testing.Short() {
 		b.Skip("large tier: skipped under -short")
 	}
-	ins := largeInstance(b, 5_000, 3)
+	ins := largeInstance(b, n, 3)
+	degraded := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Solve(ins, core.Options{Phase1Kernel: "scaled"}); err != nil {
+		ctx, cancel := context.Background(), context.CancelFunc(func() {})
+		if deadline > 0 {
+			ctx, cancel = context.WithTimeout(ctx, deadline)
+		}
+		res, err := core.SolveCtx(ctx, ins, core.Options{Phase1Kernel: "scaled"})
+		cancel()
+		if err != nil {
 			b.Fatal(err)
 		}
+		if res.Stats.Degraded {
+			degraded++
+		}
 	}
+	b.ReportMetric(float64(degraded)/float64(b.N), "degraded/op")
 }
+
+// BenchmarkSolveLargeN2k is the ROADMAP item-1 reproducer (seed 42, N≈2k,
+// the instance grid-large leads with): its cancellation loop alternates
+// between two states until MaxIterations, minutes away, so it runs under
+// grid-large's 4 s deadline and reads degraded/op = 1 until that loop is
+// fixed.
+func BenchmarkSolveLargeN2k(b *testing.B)  { benchSolveLarge(b, 2_000, 4*time.Second) }
+func BenchmarkSolveLargeN5k(b *testing.B)  { benchSolveLarge(b, 5_000, 0) }
+func BenchmarkSolveLargeN20k(b *testing.B) { benchSolveLarge(b, 20_000, 0) }

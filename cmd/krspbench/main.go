@@ -9,11 +9,12 @@
 //	krspbench -out report.json      # custom output path
 //	krspbench -run Solve,Residual   # substring-filtered subset
 //	krspbench -guard BENCH_1.json   # fail if allocs/op regress above the
-//	                                # baseline (no report written unless
-//	                                # -out is given explicitly)
+//	                                # baseline or B/op by more than 10%
+//	                                # (no report written unless -out is
+//	                                # given explicitly)
 //	krspbench -baseline BENCH_1.json# per-benchmark delta table (ns/op, B/op,
 //	                                # allocs/op vs the baseline), failing on
-//	                                # any allocs/op regression
+//	                                # the same regressions as -guard
 package main
 
 import (
@@ -73,8 +74,8 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("krspbench", flag.ContinueOnError)
 	outPath := fs.String("out", "BENCH_1.json", "output JSON path (- for stdout)")
 	filter := fs.String("run", "", "comma-separated substrings; empty = all")
-	guardPath := fs.String("guard", "", "baseline JSON: fail on allocs/op regression instead of writing a report")
-	basePath := fs.String("baseline", "", "baseline JSON: print a per-benchmark delta table and fail on allocs/op regression")
+	guardPath := fs.String("guard", "", "baseline JSON: fail on allocs/op or B/op regression instead of writing a report")
+	basePath := fs.String("baseline", "", "baseline JSON: print a per-benchmark delta table and fail on allocs/op or B/op regression")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -143,65 +144,87 @@ func run(args []string, out io.Writer) error {
 	return os.WriteFile(*outPath, data, 0o644)
 }
 
-// guard compares allocs/op for every benchmark present in both the current
-// run and the baseline report, and fails on any regression. allocs/op is
-// the guarded quantity (it is deterministic, unlike ns/op): the zero-alloc
-// observability contract says core.Solve with Options.Metrics unset must
-// not allocate more than the pre-instrumentation baseline.
-func guard(out io.Writer, path string, current []record) error {
+// bytesSlackPct is the B/op headroom over the baseline that the guards
+// allow. B/op moves a little with pool reuse and GC timing, unlike
+// allocs/op, but a buffer that grows with work instead of with n (an
+// append-only queue costing GB/op, say) overshoots it by orders of
+// magnitude, and allocs/op alone does not see that.
+const bytesSlackPct = 10
+
+// regressions lists the guarded quantities on which r regresses against
+// its baseline record b: any allocs/op increase, and B/op more than
+// bytesSlackPct above b's.
+func regressions(r, b record) []string {
+	var out []string
+	if r.AllocsPerOp > b.AllocsPerOp {
+		out = append(out, fmt.Sprintf("%s: %d allocs/op > baseline %d", r.Name, r.AllocsPerOp, b.AllocsPerOp))
+	}
+	if limit := b.BytesPerOp + b.BytesPerOp*bytesSlackPct/100; r.BytesPerOp > limit {
+		out = append(out, fmt.Sprintf("%s: %d B/op > baseline %d + %d%%", r.Name, r.BytesPerOp, b.BytesPerOp, bytesSlackPct))
+	}
+	return out
+}
+
+// readBaseline loads a report's records by name.
+func readBaseline(path string) (map[string]record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var base report
 	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", path, err)
+		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
 	}
-	baseline := make(map[string]int64, len(base.Benchmarks))
+	baseline := make(map[string]record, len(base.Benchmarks))
 	for _, r := range base.Benchmarks {
-		baseline[r.Name] = r.AllocsPerOp
+		baseline[r.Name] = r
+	}
+	return baseline, nil
+}
+
+// guard compares every benchmark present in both the current run and the
+// baseline report, and fails on any regression. allocs/op is guarded
+// exactly (it is deterministic, unlike ns/op): the zero-alloc observability
+// contract says core.Solve with Options.Metrics unset must not allocate
+// more than the pre-instrumentation baseline. B/op is guarded within
+// bytesSlackPct.
+func guard(out io.Writer, path string, current []record) error {
+	baseline, err := readBaseline(path)
+	if err != nil {
+		return err
 	}
 	compared := 0
 	var regressed []string
 	for _, r := range current {
-		want, ok := baseline[r.Name]
+		b, ok := baseline[r.Name]
 		if !ok {
 			fmt.Fprintf(out, "guard: %-22s no baseline, skipped\n", r.Name)
 			continue
 		}
 		compared++
-		if r.AllocsPerOp > want {
-			regressed = append(regressed,
-				fmt.Sprintf("%s: %d allocs/op > baseline %d", r.Name, r.AllocsPerOp, want))
+		if bad := regressions(r, b); len(bad) > 0 {
+			regressed = append(regressed, bad...)
 		} else {
-			fmt.Fprintf(out, "guard: %-22s %d allocs/op ≤ baseline %d\n", r.Name, r.AllocsPerOp, want)
+			fmt.Fprintf(out, "guard: %-22s %d allocs/op ≤ baseline %d, %d B/op ≤ baseline %d + %d%%\n",
+				r.Name, r.AllocsPerOp, b.AllocsPerOp, r.BytesPerOp, b.BytesPerOp, bytesSlackPct)
 		}
 	}
 	if compared == 0 {
 		return fmt.Errorf("guard: no benchmark in common with %s (check -run filter)", path)
 	}
 	if len(regressed) > 0 {
-		return fmt.Errorf("alloc regression vs %s:\n  %s", path, strings.Join(regressed, "\n  "))
+		return fmt.Errorf("allocation regression vs %s:\n  %s", path, strings.Join(regressed, "\n  "))
 	}
 	return nil
 }
 
 // diffBaseline prints a per-benchmark delta table against a previous report
-// and, like guard, fails on any allocs/op regression. ns/op and B/op deltas
-// are informational (they are machine- and load-dependent); allocs/op is the
-// deterministic, guarded column.
+// and, like guard, fails on any allocs/op or B/op regression. ns/op deltas
+// are informational (they are machine- and load-dependent).
 func diffBaseline(out io.Writer, path string, current []record) error {
-	data, err := os.ReadFile(path)
+	baseline, err := readBaseline(path)
 	if err != nil {
 		return err
-	}
-	var base report
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	baseline := make(map[string]record, len(base.Benchmarks))
-	for _, r := range base.Benchmarks {
-		baseline[r.Name] = r
 	}
 	pct := func(cur, old float64) string {
 		if old == 0 {
@@ -226,16 +249,13 @@ func diffBaseline(out io.Writer, path string, current []record) error {
 			r.Name, r.NsPerOp, pct(r.NsPerOp, b.NsPerOp),
 			r.BytesPerOp, pct(float64(r.BytesPerOp), float64(b.BytesPerOp)),
 			r.AllocsPerOp, r.AllocsPerOp-b.AllocsPerOp)
-		if r.AllocsPerOp > b.AllocsPerOp {
-			regressed = append(regressed,
-				fmt.Sprintf("%s: %d allocs/op > baseline %d", r.Name, r.AllocsPerOp, b.AllocsPerOp))
-		}
+		regressed = append(regressed, regressions(r, b)...)
 	}
 	if compared == 0 {
 		return fmt.Errorf("baseline: no benchmark in common with %s (check -run filter)", path)
 	}
 	if len(regressed) > 0 {
-		return fmt.Errorf("alloc regression vs %s:\n  %s", path, strings.Join(regressed, "\n  "))
+		return fmt.Errorf("allocation regression vs %s:\n  %s", path, strings.Join(regressed, "\n  "))
 	}
 	return nil
 }
@@ -295,6 +315,20 @@ func phase1Row(n, k int, scaled bool) func(b *testing.B) {
 				_, err = core.Phase1(ins)
 			}
 			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// solveLargeRow is the end-to-end twin of phase1Row: the full pipeline
+// (scaled phase 1 and the cancellation loop) on largeInstance(n, k).
+func solveLargeRow(n, k int) func(b *testing.B) {
+	return func(b *testing.B) {
+		ins := largeInstance(n, k)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Solve(ins, core.Options{Phase1Kernel: "scaled"}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -453,6 +487,9 @@ func suite() []bench {
 		{"Phase1ScaledN20k", phase1Row(20_000, 3, true)},
 		{"Phase1ClassicN50k", phase1Row(50_000, 3, false)},
 		{"Phase1ScaledN50k", phase1Row(50_000, 3, true)},
+		// End to end at N=5k, where phase 2 dominates: its B/op row is what
+		// catches a search buffer that grows with work instead of with n.
+		{"SolveLargeN5k", solveLargeRow(5_000, 3)},
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -109,6 +110,24 @@ func TestBaselineFailsOnAllocRegression(t *testing.T) {
 	// A faster-but-allocating run must still fail: ns/op never excuses allocs.
 	if !strings.Contains(out.String(), "-5") {
 		t.Fatalf("table should still have printed:\n%s", out.String())
+	}
+}
+
+func TestGuardsFailOnBytesRegression(t *testing.T) {
+	path := writeBaseline(t, baselineFullJSON)
+	// 10% over the 200000 B/op baseline is the most either guard allows.
+	within := []record{{Name: "SolveN60K3", AllocsPerOp: 229, BytesPerOp: 220000}}
+	over := []record{{Name: "SolveN60K3", AllocsPerOp: 229, BytesPerOp: 220001}}
+	for name, check := range map[string]func(io.Writer, string, []record) error{
+		"guard": guard, "diffBaseline": diffBaseline,
+	} {
+		if err := check(io.Discard, path, within); err != nil {
+			t.Fatalf("%s: B/op within 10%% rejected: %v", name, err)
+		}
+		err := check(io.Discard, path, over)
+		if err == nil || !strings.Contains(err.Error(), "SolveN60K3: 220001 B/op > baseline 200000 + 10%") {
+			t.Fatalf("%s: B/op regression not caught: %v", name, err)
+		}
 	}
 }
 

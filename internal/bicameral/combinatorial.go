@@ -8,6 +8,35 @@ import (
 	"repro/internal/shortest"
 )
 
+// DetectionWeights returns the two lexicographic weights the combinatorial
+// engine's detection rounds search rg under. Definition 10's type-1/2 allow
+// boundary cycles with W = 0 exactly (d·ΔC = ΔD·c), which pure W<0
+// detection misses. Lexicographic weights make them strictly negative: a
+// cycle is negative under W·K + d (the first weight) iff W < 0, or W = 0
+// with negative delay (a boundary type-1); under W·K + c (the second) iff
+// W < 0, or W = 0 with negative cost (a boundary type-2). K > n·max(|d|,|c|)
+// prevents the secondary term from flipping the primary's sign over any
+// simple cycle. In LinWeight form both are expanded over
+// W(e) = ΔC·d − ΔD·c (two's-complement distributivity keeps them bitwise
+// equal to the unexpanded forms at any magnitude).
+func DetectionWeights(rg *residual.Graph, p Params) [2]shortest.LinWeight {
+	view := rg.View()
+	maxW := int64(1)
+	for i := 0; i < view.NumEdges(); i++ {
+		if a := abs64(view.Delay(graph.EdgeID(i))); a > maxW {
+			maxW = a
+		}
+		if a := abs64(view.Cost(graph.EdgeID(i))); a > maxW {
+			maxW = a
+		}
+	}
+	k := int64(rg.R.NumNodes()+1)*maxW + 1
+	return [2]shortest.LinWeight{
+		{Q: -p.DeltaD * k, P: p.DeltaC*k + 1},
+		{Q: -p.DeltaD*k + 1, P: p.DeltaC * k},
+	}
+}
+
 // findCombinatorial is the primary engine: for an escalating cost budget B
 // it builds the TwoSided layered graph (wrap edges at every reversed-edge
 // endpoint) and runs negative-cycle detection under the combined weight
@@ -57,24 +86,6 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 	if b > maxB {
 		b = maxB
 	}
-	// Detection weights. Definition 10's type-1/2 allow boundary cycles
-	// with W = 0 exactly (d·ΔC = ΔD·c), which pure W<0 detection misses.
-	// Lexicographic weights make them strictly negative: a cycle is
-	// negative under W·K + d iff W < 0, or W = 0 with negative delay
-	// (a boundary type-1); under W·K + c iff W < 0, or W = 0 with negative
-	// cost (a boundary type-2). K > n·max(|d|,|c|) prevents the secondary
-	// term from flipping the primary's sign over any simple cycle.
-	maxW := int64(1)
-	for i := 0; i < m; i++ {
-		if a := abs64(view.Delay(graph.EdgeID(i))); a > maxW {
-			maxW = a
-		}
-		if a := abs64(view.Cost(graph.EdgeID(i))); a > maxW {
-			maxW = a
-		}
-	}
-	k := int64(rg.R.NumNodes()+1)*maxW + 1
-
 	var best Candidate
 	haveBest := false
 
@@ -106,14 +117,8 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 	// can never win — the edge is unreachable without rebuilding anything.
 	// The CSR kernel applies the same sentinel to !alive edges internally;
 	// Find's overflow guard keeps |du| < 2^61, so the sum cannot overflow.
-	// The lexicographic weights in LinWeight form: W(e)·K + d and W(e)·K + c
-	// expanded over W(e) = ΔC·d − ΔD·c (two's-complement distributivity
-	// keeps them bitwise equal to the unexpanded forms at any magnitude).
 	// The layered sweeps below reuse the delay-lexicographic weights[0].
-	weights := []shortest.LinWeight{
-		{Q: -p.DeltaD * k, P: p.DeltaC*k + 1},
-		{Q: -p.DeltaD*k + 1, P: p.DeltaC * k},
-	}
+	weights := DetectionWeights(rg, p)
 	wi := 0
 	// One workspace serves every sequential search below: the detection
 	// rounds here and the shared layered sweeps (it grows to layered size on

@@ -287,7 +287,7 @@ func (g *Digraph) FindEdges(u, v NodeID) []EdgeID {
 // first inconsistency found.
 func (g *Digraph) Validate() error {
 	n := g.NumNodes()
-	seen := make(map[EdgeID]int)
+	seen := make([]int, len(g.edges)) // adjacency entries per edge ID
 	for v := 0; v < n; v++ {
 		for _, id := range g.out[v] {
 			if int(id) >= len(g.edges) {

@@ -175,35 +175,36 @@ func SPFAAllBoundedCSRInto(ws *Workspace, c *graph.CSR, lw LinWeight, budget int
 
 // spfaCSRCore is the queue-based Bellman–Ford variant (SPFA) seeded with
 // every vertex, walking each dequeued vertex's current adjacency in
-// ascending edge-ID order. It returns done=false when its relaxation budget
-// is exhausted or its Canceller stops before a certified verdict; callers
-// then fall back to the pass-based scan or accept the non-verdict.
+// ascending edge-ID order. After every n improving relaxations it scans the
+// parent graph for a cycle (Cherkassky–Goldberg's amortised walk-to-root
+// check, O(1) per relaxation): every parent update is a strict decrease, so
+// every parent-graph cycle is negative, and masked edges never become
+// parents. If a negative cycle exists, the parent graph keeps one once some
+// distance drops below every simple path's weight, so a scan finds it. It
+// returns done=false when its relaxation budget is exhausted or its
+// Canceller stops before a certified verdict; callers then fall back to the
+// pass-based scan or accept the non-verdict.
 //
 //krsp:inbounds
 func spfaCSRCore(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool, t Tree, budget int) (Tree, graph.Cycle, bool, bool) {
 	n := c.NumNodes()
-	// pathLen[v] is the edge count of the tentative shortest walk to v; a
-	// walk of ≥ n edges repeats a vertex, certifying a negative cycle (the
-	// correct SPFA criterion — per-vertex relax counts are NOT bounded by n
-	// on negative-cycle-free graphs).
-	inQueue, pathLen, queue := ws.resetFlags(n)
-	defer func() { ws.queue = queue[:0] }() //lint:allow boundsafe [:0] never exceeds capacity; reslicing hands the grown buffer back to the workspace
-	relaxations := 0
-	for v := 0; v < n; v++ {
-		queue = append(queue, graph.NodeID(v)) //lint:allow contracts amortized: appends reuse the persisted workspace queue buffer
-		inQueue[v] = true                      //lint:allow boundsafe ws.resetFlags(n) sizes inQueue to n, the loop bound
+	if n == 0 {
+		ws.recordSPFA(0, false)
+		return t, graph.Cycle{}, true, true
 	}
-	head := 0
-	for head < len(queue) {
+	next, stamp := ws.resetFlags(n)
+	head, tail := graph.NodeID(0), graph.NodeID(n-1)
+	relaxations, walk, untilScan := 0, 0, n
+	for head != queueEnd {
 		if ws.cancel.Poll() {
 			// Cancelled: no verdict. Callers distinguish this from budget
 			// exhaustion via Canceller.Stopped (see Workspace.SetCancel).
 			ws.recordSPFA(relaxations, false)
 			return t, graph.Cycle{}, false, false
 		}
-		u := queue[head]
-		head++
-		inQueue[u] = false
+		u := head
+		head = next[u]
+		next[u] = notQueued
 		du := t.Dist[u]
 		if du == Inf {
 			continue
@@ -241,22 +242,21 @@ func spfaCSRCore(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool, t Tree
 				}
 				t.Dist[to] = nd
 				t.Parent[to] = id
-				pathLen[to] = pathLen[u] + 1
-				if pathLen[to] >= n {
-					// Likely negative cycle. pathLen is a lazy snapshot, so
-					// verify against the live parent graph: a repeated vertex
-					// on the chain is a genuine negative cycle; a rootward
-					// exit means the trigger was stale — record the true
-					// length and move on.
-					if at, cyclic := chainRepeat(c, t.Parent, to); cyclic {
+				if untilScan--; untilScan == 0 {
+					untilScan = n
+					if at, cyclic := parentCycle(c, t.Parent, stamp, &walk); cyclic {
 						ws.recordSPFA(relaxations, true)
 						return t, extractParentCycleCSR(c, t.Parent, at), false, true
 					}
-					pathLen[to] = chainLength(c, t.Parent, to)
 				}
-				if !inQueue[to] {
-					inQueue[to] = true
-					queue = append(queue, to) //lint:allow contracts amortized: appends reuse the persisted workspace queue buffer
+				if next[to] == notQueued {
+					next[to] = queueEnd
+					if head == queueEnd {
+						head = to
+					} else {
+						next[tail] = to
+					}
+					tail = to
 				}
 			}
 		}
@@ -311,38 +311,34 @@ func BellmanFordAllCSRInto(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bo
 	return t, extractParentCycleCSR(c, t.Parent, v), false
 }
 
-// chainRepeat follows parent pointers from v and reports the first vertex
-// seen twice (a vertex on a parent-graph cycle), or cyclic=false if the
-// chain reaches a root.
+// parentCycle scans the parent graph for a cycle and returns a vertex on
+// one. For each vertex in ascending ID order not yet stamped by this scan,
+// it walks rootward stamping with a fresh walk id; the first walk that
+// meets its own stamp has closed a cycle at the vertex it met. *walk is the
+// last walk id issued in this run, so stamps from earlier scans read as
+// unstamped.
 //
-//krsp:terminates(the seen set forces a repeat or a root exit within n steps)
-func chainRepeat(c *graph.CSR, parent []graph.EdgeID, v graph.NodeID) (graph.NodeID, bool) {
-	seen := map[graph.NodeID]bool{v: true}
-	for {
-		id := parent[v]
-		if id < 0 {
-			return 0, false
+//krsp:terminates(each vertex is stamped once per scan: ≤ 2n steps)
+func parentCycle(c *graph.CSR, parent []graph.EdgeID, stamp []int, walk *int) (graph.NodeID, bool) {
+	first := *walk + 1
+	for s := range stamp {
+		if stamp[s] >= first {
+			continue
 		}
-		v = c.Tail(id)
-		if seen[v] {
-			return v, true
+		*walk++
+		v := graph.NodeID(s)
+		for stamp[v] < first {
+			stamp[v] = *walk
+			if parent[v] < 0 {
+				break
+			}
+			v = c.Tail(parent[v])
+			if stamp[v] == *walk {
+				return v, true
+			}
 		}
-		//lint:allow contracts cold path: map grows only while verifying a suspected cycle; counted in the bench-guard alloc budget
-		seen[v] = true
 	}
-}
-
-// chainLength counts parent-chain edges from v to its root. Callers only
-// invoke it after chainRepeat reported no cycle, so it terminates.
-//
-//krsp:terminates(parent chain is acyclic here, ≤ n edges to the root)
-func chainLength(c *graph.CSR, parent []graph.EdgeID, v graph.NodeID) int {
-	length := 0
-	for parent[v] >= 0 {
-		v = c.Tail(parent[v])
-		length++
-	}
-	return length
+	return 0, false
 }
 
 // extractParentCycleCSR is extractParentCycle over a CSR view.

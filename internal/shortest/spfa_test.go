@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // randCostGraph is a random simple-edge graph with costs in [lo, lo+span)
@@ -79,5 +80,77 @@ func TestSPFASimple(t *testing.T) {
 	}
 	if _, neg, done := SPFAAllBoundedCSRInto(NewWorkspace(4), c, LinCost, 1); done || neg {
 		t.Fatalf("budget 1: neg=%v done=%v, want no verdict", neg, done)
+	}
+}
+
+// TestSPFADetectionLatency: a −1 three-cycle whose vertex 2 feeds a fan of
+// n leaves closes in the parent graph after three relaxations, so the
+// amortised parent-graph scan reports it within 3n improving relaxations.
+// A path-length ≥ n trigger waits for ~n/3 laps of the cycle, each
+// re-relaxing every leaf: ~n²/3 relaxations.
+func TestSPFADetectionLatency(t *testing.T) {
+	const leaves = 600
+	g := graph.New(3 + leaves)
+	g.AddEdge(0, 1, 0, 0)
+	g.AddEdge(1, 2, 0, 0)
+	g.AddEdge(2, 0, -1, 0)
+	for v := 3; v < g.NumNodes(); v++ {
+		g.AddEdge(2, graph.NodeID(v), 0, 0)
+	}
+	sink := obs.New(nil).ShortestMetrics()
+	ws := NewWorkspace(g.NumNodes())
+	ws.SetMetrics(sink)
+	_, cyc, ok := SPFAAllCSRInto(ws, graph.NewCSR(g), LinCost, nil)
+	if ok || cyc.Validate(g, true) != nil || cyc.Cost(g) != -1 {
+		t.Fatalf("ok=%v cycle=%v, want the -1 three-cycle", ok, cyc.Edges)
+	}
+	if relax, limit := sink.Relaxations.Value(), int64(3*g.NumNodes()); relax > limit {
+		t.Fatalf("cycle found after %d improving relaxations, want ≤ 3n = %d", relax, limit)
+	}
+}
+
+// negativeDAG is an n-vertex graph with edges only from lower to higher
+// IDs and costs in [-10, 10): negative edges but no cycle at all.
+func negativeDAG(seed int64, n, m int) *graph.Digraph {
+	r := rand.New(rand.NewSource(seed))
+	g := graph.New(n)
+	for i := 0; i < m; i++ {
+		u, v := r.Intn(n), r.Intn(n)
+		if u == v {
+			continue
+		}
+		if u > v {
+			u, v = v, u
+		}
+		g.AddEdge(graph.NodeID(u), graph.NodeID(v), int64(r.Intn(20)-10), 0)
+	}
+	return g
+}
+
+// TestSPFANoAllocAtScale measures the //krsp:noalloc claim behind the
+// workspace's n-slot queue and stamp arrays: once warmed, neither a
+// no-cycle run nor a budget-exhausted run allocates at N≈2k.
+func TestSPFANoAllocAtScale(t *testing.T) {
+	g := negativeDAG(7, 2000, 6000)
+	c := graph.NewCSR(g)
+	ws := NewWorkspace(g.NumNodes())
+	sink := obs.New(nil).ShortestMetrics()
+	ws.SetMetrics(sink)
+	if _, _, ok := SPFAAllCSRInto(ws, c, LinCost, nil); !ok {
+		t.Fatal("negative DAG reported a negative cycle")
+	}
+	relax := sink.Relaxations.Value()
+	if relax < int64(g.NumNodes()) {
+		t.Fatalf("only %d relaxations: the run is too small to exercise the queue", relax)
+	}
+	if a := testing.AllocsPerRun(20, func() { SPFAAllCSRInto(ws, c, LinCost, nil) }); a != 0 {
+		t.Fatalf("no-cycle SPFAAllCSRInto: %v allocs/run, want 0", a)
+	}
+	budget := int(relax / 2)
+	if _, _, done := SPFAAllBoundedCSRInto(ws, c, LinCost, budget); done {
+		t.Fatalf("budget %d of %d relaxations still reached a verdict", budget, relax)
+	}
+	if a := testing.AllocsPerRun(20, func() { SPFAAllBoundedCSRInto(ws, c, LinCost, budget) }); a != 0 {
+		t.Fatalf("budget-exhausted SPFAAllBoundedCSRInto: %v allocs/run, want 0", a)
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Workspace holds the scratch arrays shared by every kernel in this
-// package: distances, parent pointers, the SPFA queue and in-queue flags,
-// and an indexed heap for Dijkstra. Allocating these dominates the cost of
+// package: distances, parent pointers, the SPFA queue links, and an
+// indexed heap for Dijkstra. Allocating these dominates the cost of
 // a single search on small graphs, and the solver's hot loops (cycle
 // cancellation, budget sweeps, Lagrangian iterations) run thousands of
 // searches over graphs of identical or slowly-growing size — a Workspace
@@ -25,9 +25,8 @@ import (
 type Workspace struct {
 	dist    []int64
 	parent  []graph.EdgeID
-	inQueue []bool
-	pathLen []int
-	queue   []graph.NodeID
+	next    []graph.NodeID
+	stamp   []int
 	done    []bool
 	heap    *pq.Heap
 	metrics *obs.ShortestMetrics
@@ -77,8 +76,8 @@ func (ws *Workspace) Grow(n int) {
 	}
 	ws.dist = make([]int64, n)          //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
 	ws.parent = make([]graph.EdgeID, n) //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
-	ws.inQueue = make([]bool, n)        //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
-	ws.pathLen = make([]int, n)         //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
+	ws.next = make([]graph.NodeID, n)   //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
+	ws.stamp = make([]int, n)           //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
 	ws.done = make([]bool, n)           //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
 	if ws.heap == nil {
 		ws.heap = pq.New(n)
@@ -107,17 +106,28 @@ func (ws *Workspace) zeroTree(n int) Tree {
 	return t
 }
 
-// resetFlags clears the SPFA bookkeeping for n vertices and returns the
-// (emptied) queue buffer.
-func (ws *Workspace) resetFlags(n int) (inQueue []bool, pathLen []int, queue []graph.NodeID) {
+// SPFA queue links. The queue is a FIFO list threaded through one n-slot
+// array indexed by vertex: next[v] is the vertex queued after v, queueEnd
+// if v is last, or notQueued if v is not in the queue. A vertex is queued
+// at most once, so n slots always suffice and the FIFO order is exact.
+const (
+	queueEnd  graph.NodeID = -1
+	notQueued graph.NodeID = -2
+)
+
+// resetFlags seeds the SPFA bookkeeping for n ≥ 1 vertices: every vertex
+// queued in ascending ID order (the queue runs from vertex 0 to n-1) and
+// every parent-walk stamp cleared.
+func (ws *Workspace) resetFlags(n int) (next []graph.NodeID, stamp []int) {
 	ws.Grow(n)
-	inQueue = ws.inQueue[:n]
-	pathLen = ws.pathLen[:n]
+	next = ws.next[:n]
+	stamp = ws.stamp[:n]
 	for i := 0; i < n; i++ {
-		inQueue[i] = false
-		pathLen[i] = 0
+		next[i] = graph.NodeID(i + 1)
+		stamp[i] = 0
 	}
-	return inQueue, pathLen, ws.queue[:0]
+	next[n-1] = queueEnd
+	return next, stamp
 }
 
 // Clone of a workspace-backed tree into fresh memory, for callers that keep
