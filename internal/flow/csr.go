@@ -13,19 +13,16 @@ import (
 
 // KFlowSolver computes min-cost k-flows over a frozen CSR view with
 // reusable scratch. Phase 1 calls min-cost flow ~10 times per solve (two
-// endpoint flows plus the Lagrangian iterations) on the SAME graph;
-// minCostKFlow re-allocates its workspace, potential, distance, parent and
-// heap arrays on every call, which dominated both the allocation budget and
-// the cache behaviour at N ≥ 5k. A solver instance hoists all of that: a
-// call allocates only its UnitFlow result.
+// endpoint flows plus the Lagrangian iterations) on the SAME graph; a
+// solver instance hoists the potential, distance, parent and heap arrays
+// out of those calls, so a call allocates only its UnitFlow result.
 //
 // Augmentation rounds iterate the CSR rows directly (forward arcs from
-// OutRow, cancelling arcs from InRow, both ID-ascending), which makes
-// MinCostKFlow bit-identical to minCostKFlow on the Digraph the view was
-// packed from. Not safe for concurrent use; one solver per goroutine.
+// OutRow, cancelling arcs from InRow, both ID-ascending), the adjacency
+// order of the Digraph the view was packed from. Not safe for concurrent
+// use; one solver per goroutine.
 type KFlowSolver struct {
 	c       *graph.CSR
-	ws      *shortest.Workspace
 	inFlow  []bool
 	pot     []int64
 	dist    []int64
@@ -47,7 +44,6 @@ func NewKFlowSolver(c *graph.CSR) *KFlowSolver {
 	n := c.NumNodes()
 	return &KFlowSolver{
 		c:       c,
-		ws:      shortest.NewWorkspace(n),
 		inFlow:  make([]bool, c.NumEdges()),
 		pot:     make([]int64, n),
 		dist:    make([]int64, n),
@@ -57,10 +53,11 @@ func NewKFlowSolver(c *graph.CSR) *KFlowSolver {
 	}
 }
 
-// MinCostKFlow is minCostKFlow over the solver's CSR view: a minimum-weight
-// integral s→t flow of value k under unit capacities by successive shortest
-// paths with Johnson potentials, bit-identical to the Digraph path
-// (identical augmentation order, flows, metrics and errors).
+// MinCostKFlow computes a minimum-weight integral s→t flow of value k under
+// unit capacities over the solver's CSR view, by successive shortest paths
+// with Johnson potentials. lw must be nonnegative on every edge. Returns
+// ErrInfeasible if fewer than k edge-disjoint paths exist, and
+// cancel.ErrCancelled if c stops a round.
 func (kf *KFlowSolver) MinCostKFlow(s, t graph.NodeID, k int, lw shortest.LinWeight, m *obs.FlowMetrics, c *cancel.Canceller) (UnitFlow, error) {
 	return kf.run(s, t, k, lw, m, c, false)
 }
@@ -93,80 +90,27 @@ func (kf *KFlowSolver) run(s, t graph.NodeID, k int, lw shortest.LinWeight, m *o
 	for i := range inFlow {
 		inFlow[i] = false
 	}
-	// Potentials initialized by a plain Dijkstra (weights nonnegative),
-	// copied out of the workspace tree so the per-round searches below can
-	// reuse the workspace-independent scratch.
-	pot := kf.pot[:n]
-	copy(pot, shortest.DijkstraCSRInto(kf.ws, cs, s, lw).Dist)
+	// Initial potentials: one full round with zero potentials and no flow
+	// is a plain Dijkstra under lw (weights nonnegative). It is not an
+	// augmentation, so its relaxations are not counted, and it runs to
+	// completion whatever the canceller says.
+	pot, dist := kf.pot[:n], kf.dist[:n]
+	for v := range pot {
+		pot[v] = 0
+	}
+	kf.search(s, t, lw, nil, false)
+	copy(pot, dist)
 
-	dist, parent, settled, h := kf.dist[:n], kf.parent[:n], kf.settled[:n], kf.h
 	for it := 0; it < k; it++ {
-		for v := range dist {
-			dist[v] = shortest.Inf
-			parent[v] = arc{edge: -1}
-			settled[v] = false
-		}
 		if pot[s] == shortest.Inf {
 			recordFlow(m, rounds, relaxed, true)
 			return UnitFlow{}, ErrInfeasible
 		}
-		dist[s] = 0
-		h.Reset()
-		h.Push(int(s), 0)
-		for h.Len() > 0 {
-			if c.Poll() {
-				recordFlow(m, rounds, relaxed, false)
-				return UnitFlow{}, cancel.ErrCancelled
-			}
-			ui, du := h.Pop()
-			u := graph.NodeID(ui)
-			if settled[u] {
-				continue
-			}
-			settled[u] = true
-			if targetStop && u == t {
-				break
-			}
-			for _, id := range cs.OutRow(u) {
-				if inFlow[id] {
-					continue
-				}
-				to := cs.Head(id)
-				if settled[to] || pot[to] == shortest.Inf {
-					continue
-				}
-				rw := lw.Of(cs.Cost(id), cs.Delay(id)) + pot[u] - pot[to]
-				if rw < 0 {
-					//lint:allow nopanic potential-validity invariant; a violation is a solver bug, not bad input
-					panic(fmt.Sprintf("flow: negative reduced weight %d", rw))
-				}
-				if nd := du + rw; nd < dist[to] {
-					dist[to] = nd
-					parent[to] = arc{edge: id, fwd: true}
-					h.Push(int(to), nd)
-					relaxed++
-				}
-			}
-			for _, id := range cs.InRow(u) {
-				if !inFlow[id] {
-					continue
-				}
-				to := cs.Tail(id)
-				if settled[to] || pot[to] == shortest.Inf {
-					continue
-				}
-				rw := -lw.Of(cs.Cost(id), cs.Delay(id)) + pot[u] - pot[to]
-				if rw < 0 {
-					//lint:allow nopanic potential-validity invariant; a violation is a solver bug, not bad input
-					panic(fmt.Sprintf("flow: negative reduced weight %d", rw))
-				}
-				if nd := du + rw; nd < dist[to] {
-					dist[to] = nd
-					parent[to] = arc{edge: id, fwd: false}
-					h.Push(int(to), nd)
-					relaxed++
-				}
-			}
+		r, ok := kf.search(s, t, lw, c, targetStop)
+		relaxed += r
+		if !ok {
+			recordFlow(m, rounds, relaxed, false)
+			return UnitFlow{}, cancel.ErrCancelled
 		}
 		if dist[t] == shortest.Inf {
 			recordFlow(m, rounds, relaxed, true)
@@ -174,7 +118,7 @@ func (kf *KFlowSolver) run(s, t graph.NodeID, k int, lw shortest.LinWeight, m *o
 		}
 		rounds++
 		kf.fr.Record(rec.KindAugment, rounds, dist[t], 0, 0)
-		kf.augmentAlong(parent, inFlow, s, t)
+		kf.augmentAlong(s, t)
 		if targetStop {
 			// Capped repair: pot'[v] = pot[v] + min(dist[v], dist[t]) keeps
 			// every residual reduced weight nonnegative without requiring the
@@ -191,6 +135,8 @@ func (kf *KFlowSolver) run(s, t graph.NodeID, k int, lw shortest.LinWeight, m *o
 				}
 			}
 		} else {
+			// pot'[v] = pot[v] + dist[v]; vertices unreached this round stay
+			// unreachable under reduced weights in later rounds: mark Inf.
 			for v := range pot {
 				if pot[v] == shortest.Inf {
 					continue
@@ -214,19 +160,98 @@ func (kf *KFlowSolver) run(s, t graph.NodeID, k int, lw shortest.LinWeight, m *o
 	return UnitFlow{Edges: set, Value: k}, nil
 }
 
-// augmentAlong is augmentAlong over the CSR view: flip flow along the
-// parent chain from t back to s.
+// search is one successive-shortest-path round: Dijkstra from s over the
+// residual structure of the current flow (unused edges forward, used edges
+// backward with negated weight) under the reduced weight
+// w + pot[u] − pot[v], where vertices with pot = Inf count as removed. It
+// leaves reduced distances in kf.dist and shortest-path arcs in kf.parent,
+// stopping as soon as t settles when targetStop is set. It returns the
+// number of improving relaxations, and ok=false if c stopped the round.
+//
+//krsp:terminates(each vertex settles once and the heap holds ≤ m entries)
+func (kf *KFlowSolver) search(s, t graph.NodeID, lw shortest.LinWeight, c *cancel.Canceller, targetStop bool) (relaxed int64, ok bool) {
+	cs := kf.c
+	n := cs.NumNodes()
+	inFlow, pot := kf.inFlow[:cs.NumEdges()], kf.pot[:n]
+	dist, parent, settled, h := kf.dist[:n], kf.parent[:n], kf.settled[:n], kf.h
+	for v := range dist {
+		dist[v] = shortest.Inf
+		parent[v] = arc{edge: -1}
+		settled[v] = false
+	}
+	dist[s] = 0
+	h.Reset()
+	h.Push(int(s), 0)
+	for h.Len() > 0 {
+		if c.Poll() {
+			return relaxed, false
+		}
+		ui, du := h.Pop()
+		u := graph.NodeID(ui)
+		if settled[u] {
+			continue
+		}
+		settled[u] = true
+		if targetStop && u == t {
+			break
+		}
+		for _, id := range cs.OutRow(u) {
+			if inFlow[id] {
+				continue
+			}
+			to := cs.Head(id)
+			if settled[to] || pot[to] == shortest.Inf {
+				continue
+			}
+			rw := lw.Of(cs.Cost(id), cs.Delay(id)) + pot[u] - pot[to]
+			if rw < 0 {
+				//lint:allow nopanic potential-validity invariant; a violation is a solver bug, not bad input
+				panic(fmt.Sprintf("flow: negative reduced weight %d", rw))
+			}
+			if nd := du + rw; nd < dist[to] {
+				dist[to] = nd
+				parent[to] = arc{edge: id, fwd: true}
+				h.Push(int(to), nd)
+				relaxed++
+			}
+		}
+		for _, id := range cs.InRow(u) {
+			if !inFlow[id] {
+				continue
+			}
+			to := cs.Tail(id)
+			if settled[to] || pot[to] == shortest.Inf {
+				continue
+			}
+			rw := -lw.Of(cs.Cost(id), cs.Delay(id)) + pot[u] - pot[to]
+			if rw < 0 {
+				//lint:allow nopanic potential-validity invariant; a violation is a solver bug, not bad input
+				panic(fmt.Sprintf("flow: negative reduced weight %d", rw))
+			}
+			if nd := du + rw; nd < dist[to] {
+				dist[to] = nd
+				parent[to] = arc{edge: id, fwd: false}
+				h.Push(int(to), nd)
+				relaxed++
+			}
+		}
+	}
+	return relaxed, true
+}
+
+// augmentAlong flips flow along the parent chain of the last search from t
+// back to s, pushing on forward arcs and cancelling on backward ones.
 //
 //krsp:terminates(the parent array encodes a simple chain from t to s, ≤ n edges)
-func (kf *KFlowSolver) augmentAlong(parent []arc, inFlow []bool, s, t graph.NodeID) {
+func (kf *KFlowSolver) augmentAlong(s, t graph.NodeID) {
 	v := t
 	for v != s {
-		a := parent[v]
+		a := kf.parent[v]
 		if a.fwd {
-			inFlow[a.edge] = true
+			kf.inFlow[a.edge] = true
 			v = kf.c.Tail(a.edge)
 		} else {
-			inFlow[a.edge] = false
+			kf.inFlow[a.edge] = false
 			v = kf.c.Head(a.edge)
 		}
 	}

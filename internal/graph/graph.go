@@ -334,7 +334,7 @@ func (g *Digraph) String() string {
 func (g *Digraph) checkNode(v NodeID) {
 	if v < 0 || int(v) >= len(g.out) {
 		//lint:allow nopanic index-range invariant, same contract as slice indexing
-		panic(fmt.Sprintf("graph: node %d out of range [0,%d)", v, len(g.out))) //lint:allow contracts panic path: formats only once the invariant is already broken
+		panic(fmt.Sprintf("graph: node %d out of range [0,%d)", v, len(g.out)))
 	}
 }
 

@@ -296,7 +296,7 @@ func (r *Registry) SolverMetrics() *SolverMetrics {
 }
 
 // FlowMetrics returns the min-cost-flow metric group; nil on a nil
-// registry (flow.MinCostKFlowMetered treats nil as "don't record").
+// registry (flow.KFlowSolver treats nil as "don't record").
 func (r *Registry) FlowMetrics() *FlowMetrics {
 	if r == nil {
 		return nil

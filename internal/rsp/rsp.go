@@ -152,12 +152,13 @@ func ExactDP(g *graph.Digraph, s, t graph.NodeID, bound int64) (Result, error) {
 // multiplier λ = p/q is kept rational and paths are computed under the
 // integer weight q·c + p·d.
 func LARAC(g *graph.Digraph, s, t graph.NodeID, bound int64) (Result, error) {
-	// One workspace serves every Dijkstra below: the Lagrangian loop runs up
-	// to 256 searches over the same graph, and paths are materialized before
-	// the next search clobbers the tree.
+	// One packed view and one workspace serve every Dijkstra below: the
+	// Lagrangian loop runs up to 256 searches over the same graph, and paths
+	// are materialized before the next search clobbers the tree.
+	cs := graph.NewCSR(g)
 	ws := shortest.NewWorkspace(g.NumNodes())
 	// Cost-minimal path: if feasible, it is exactly optimal.
-	tc := shortest.DijkstraInto(ws, g, s, shortest.CostWeight)
+	tc := shortest.DijkstraCSRInto(ws, cs, s, shortest.LinCost)
 	pc, ok := tc.PathTo(g, t)
 	if !ok {
 		return Result{}, ErrInfeasible
@@ -167,7 +168,7 @@ func LARAC(g *graph.Digraph, s, t graph.NodeID, bound int64) (Result, error) {
 		return Result{Path: pc, Cost: c, Delay: pc.Delay(g), LowerBound: c}, nil
 	}
 	// Delay-minimal path: if infeasible, the instance is infeasible.
-	td := shortest.DijkstraInto(ws, g, s, shortest.DelayWeight)
+	td := shortest.DijkstraCSRInto(ws, cs, s, shortest.LinDelay)
 	pd, ok := td.PathTo(g, t)
 	if !ok || pd.Delay(g) > bound {
 		return Result{}, ErrInfeasible
@@ -186,8 +187,8 @@ func LARAC(g *graph.Digraph, s, t graph.NodeID, bound int64) (Result, error) {
 		if q <= 0 {
 			break
 		}
-		w := shortest.Combine(q, p)
-		tr := shortest.DijkstraInto(ws, g, s, w)
+		w := shortest.LinCombine(q, p)
+		tr := shortest.DijkstraCSRInto(ws, cs, s, w)
 		r, _ := tr.PathTo(g, t)
 		wr := weightOf(g, r, w)
 		// Lagrangian lower bound: (wλ(r) − p·D) / q ≤ OPT.
@@ -221,16 +222,17 @@ func FPTAS(g *graph.Digraph, s, t graph.NodeID, bound int64, eps float64) (Resul
 		return Result{}, fmt.Errorf("rsp: eps must be positive, got %g", eps)
 	}
 	// Feasibility + upper bound: min-delay path. Both probes and their paths
-	// are materialized off one workspace.
+	// are materialized off one packed view and one workspace.
+	cs := graph.NewCSR(g)
 	ws := shortest.NewWorkspace(g.NumNodes())
-	td := shortest.DijkstraInto(ws, g, s, shortest.DelayWeight)
+	td := shortest.DijkstraCSRInto(ws, cs, s, shortest.LinDelay)
 	pd, ok := td.PathTo(g, t)
 	if !ok || pd.Delay(g) > bound {
 		return Result{}, ErrInfeasible
 	}
 	ub := pd.Cost(g)
 	// Lower bound: unconstrained min cost; exact answer if feasible.
-	tc := shortest.DijkstraInto(ws, g, s, shortest.CostWeight)
+	tc := shortest.DijkstraCSRInto(ws, cs, s, shortest.LinCost)
 	pc, _ := tc.PathTo(g, t)
 	if pc.Delay(g) <= bound {
 		c := pc.Cost(g)
@@ -293,10 +295,11 @@ func testAtMost(g *graph.Digraph, s, t graph.NodeID, bound, v, n int64) bool {
 	return false
 }
 
-func weightOf(g *graph.Digraph, p graph.Path, w shortest.Weight) int64 {
+func weightOf(g *graph.Digraph, p graph.Path, lw shortest.LinWeight) int64 {
 	var s int64
 	for _, id := range p.Edges {
-		s += w(g.Edge(id)) //lint:allow weightovf path sum; callers pass MaxWeight-bounded weightings
+		e := g.Edge(id)
+		s += lw.Of(e.Cost, e.Delay)
 	}
 	return s
 }

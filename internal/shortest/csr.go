@@ -42,16 +42,21 @@ func defaultBudget(c *graph.CSR) int {
 	return 4*c.NumNodes()*c.NumEdges() + 256
 }
 
-// DijkstraCSRInto is DijkstraInto over a CSR view: shortest paths from s
-// under lw, all selected weights nonnegative (panics otherwise, same
-// contract as DijkstraInto). Iteration follows the view's CURRENT orientation
-// in ascending edge-ID order, which is bit-identical to running DijkstraInto
-// on the Digraph the view mirrors.
+// DijkstraCSRInto computes shortest paths from s under lw over a
+// never-flipped CSR view and caller-provided scratch, relaxing each row in
+// ascending edge-ID order. All selected weights must be nonnegative; it
+// panics on a negative weight, which would silently produce wrong answers,
+// and on a Mixed view, whose current adjacency OutRow alone does not list.
+// The returned Tree aliases the workspace (see Workspace).
 //
 //krsp:noalloc
 //krsp:terminates(each vertex finalizes once and the heap holds ≤ m entries)
 //krsp:inbounds
 func DijkstraCSRInto(ws *Workspace, c *graph.CSR, s graph.NodeID, lw LinWeight) Tree {
+	if c.Mixed() {
+		//lint:allow nopanic kernel contract: Dijkstra runs on problem graphs, never on a flipped residual view
+		panic("shortest: DijkstraCSRInto on a flipped CSR view")
+	}
 	n := c.NumNodes()
 	t := ws.tree(n)
 	done := ws.done[:n] //lint:allow boundsafe ws.tree(n) grows ws.done to n alongside the tree arrays
@@ -64,7 +69,6 @@ func DijkstraCSRInto(ws *Workspace, c *graph.CSR, s graph.NodeID, lw LinWeight) 
 	h := ws.heap
 	h.Reset()
 	h.Push(int(s), 0)
-	mixed := c.Mixed()
 	for h.Len() > 0 {
 		ui, du := h.Pop()
 		u := graph.NodeID(ui)
@@ -72,47 +76,7 @@ func DijkstraCSRInto(ws *Workspace, c *graph.CSR, s graph.NodeID, lw LinWeight) 
 			continue
 		}
 		done[u] = true
-		if !mixed {
-			// Never-flipped view: OutRow IS the current adjacency.
-			for _, id := range c.OutRow(u) {
-				to := c.Head(id)
-				if done[to] {
-					continue
-				}
-				rw := lw.Of(c.Cost(id), c.Delay(id))
-				if rw < 0 {
-					//lint:allow nopanic nonnegative-weight contract; a violation is a solver bug, not bad input
-					panic("shortest: negative weight in DijkstraCSRInto")
-				}
-				if nd := du + rw; nd < t.Dist[to] {
-					t.Dist[to] = nd
-					t.Parent[to] = id
-					h.Push(int(to), nd)
-				}
-			}
-			continue
-		}
-		// Mixed view: merge the non-reversed out row with the reversed in
-		// row by ascending edge ID — exactly the Digraph's sorted adjacency.
-		outRow, inRow := c.OutRow(u), c.InRow(u)
-		i, j := 0, 0
-		for {
-			for i < len(outRow) && c.Reversed(outRow[i]) {
-				i++
-			}
-			for j < len(inRow) && !c.Reversed(inRow[j]) {
-				j++
-			}
-			var id graph.EdgeID
-			if i < len(outRow) && (j >= len(inRow) || outRow[i] < inRow[j]) {
-				id = outRow[i]
-				i++
-			} else if j < len(inRow) {
-				id = inRow[j]
-				j++
-			} else {
-				break
-			}
+		for _, id := range c.OutRow(u) {
 			to := c.Head(id)
 			if done[to] {
 				continue

@@ -127,44 +127,40 @@ func TestBellmanFordAllCSRMatchesDigraph(t *testing.T) {
 	}
 }
 
-// TestDijkstraCSRMatchesDigraph covers both the unmixed fast path and the
-// merged iteration of a flipped view (weights re-patched nonnegative via
-// SetWeights so Dijkstra's contract holds).
+// TestDijkstraCSRMatchesDigraph checks Dijkstra over never-flipped views
+// against the Digraph Bellman–Ford reference — equal distances, and every
+// parent edge tight — and checks that a flipped (Mixed) view, whose current
+// adjacency OutRow alone does not list, is refused loudly.
 func TestDijkstraCSRMatchesDigraph(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		g, c := mirrorPair(t, seed+200, 20, 70, 0)
-		if seed%2 == 1 {
-			// Flip a few edges, then restore nonnegative weights in place on
-			// both representations: the view stays Mixed (merge path) while
-			// satisfying Dijkstra's nonnegativity contract.
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 10; i++ {
-				id := graph.EdgeID(rng.Intn(g.NumEdges()))
-				g.FlipEdge(id)
-				c.Flip(id)
-				e := g.Edge(id)
-				cost, delay := e.Cost, e.Delay
-				if cost < 0 {
-					cost = -cost
-				}
-				if delay < 0 {
-					delay = -delay
-				}
-				g.SetEdgeWeights(id, cost, delay)
-				c.SetWeights(id, cost, delay)
+		s := graph.NodeID(seed % 20)
+		ws := NewWorkspace(g.NumNodes())
+		tc := DijkstraCSRInto(ws, c, s, LinCost)
+		ref, _, ok := BellmanFord(g, s, CostWeight)
+		if !ok {
+			t.Fatalf("seed %d: Bellman–Ford found a negative cycle in a nonnegative graph", seed)
+		}
+		sameDist(t, fmt.Sprintf("seed %d", seed), ref, tc)
+		for v, id := range tc.Parent {
+			if id < 0 {
+				continue
 			}
-			if err := c.Validate(g); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if !c.Mixed() {
-				t.Fatalf("seed %d: expected a mixed view", seed)
+			e := g.Edge(id)
+			if int(e.To) != v || tc.Dist[e.From]+e.Cost != tc.Dist[v] {
+				t.Fatalf("seed %d: parent edge %d of %d is not tight", seed, id, v)
 			}
 		}
-		s := graph.NodeID(seed % 20)
-		wsD, wsC := NewWorkspace(g.NumNodes()), NewWorkspace(g.NumNodes())
-		td := DijkstraInto(wsD, g, s, CostWeight)
-		tc := DijkstraCSRInto(wsC, c, s, LinCost)
-		sameTree(t, "dijkstra", td, tc)
+
+		c.Flip(graph.EdgeID(seed % 70))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("seed %d: Dijkstra accepted a flipped view", seed)
+				}
+			}()
+			DijkstraCSRInto(ws, c, s, LinCost)
+		}()
 	}
 }
 

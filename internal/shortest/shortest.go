@@ -1,9 +1,11 @@
 // Package shortest implements the single-criterion shortest-path substrate:
-// Dijkstra with potentials, Yen's k shortest paths, and negative-cycle
-// detection with extraction — one SPFA core over graph.CSR plus the
-// pass-based Bellman–Ford it falls back to. Every kernel takes an edge
-// weighting so callers can route on cost, delay, or integer combinations
-// q·c + p·d: a Weight closure on Digraph kernels, a LinWeight on CSR ones.
+// one nonnegative-weight Dijkstra and one SPFA negative-cycle core, both
+// over graph.CSR; Yen's k shortest paths on that Dijkstra; and the
+// pass-based Bellman–Ford the SPFA falls back to, whose Digraph form is the
+// reference the tests check the CSR kernels against. Every kernel takes an
+// edge weighting so callers can route on cost, delay, or integer
+// combinations q·c + p·d: a LinWeight on CSR kernels, a Weight closure on
+// the Digraph Bellman–Ford.
 package shortest
 
 import (
@@ -54,81 +56,4 @@ func (t Tree) PathTo(g *graph.Digraph, v graph.NodeID) (graph.Path, bool) {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return graph.Path{Edges: rev}, true
-}
-
-// DijkstraInto computes shortest paths from s under w over caller-provided
-// scratch. All selected weights must be nonnegative; the function panics on
-// a negative weight since that would silently produce wrong answers. The
-// returned Tree aliases the workspace (see Workspace).
-//
-//krsp:noalloc
-func DijkstraInto(ws *Workspace, g *graph.Digraph, s graph.NodeID, w Weight) Tree {
-	return DijkstraPotentialsInto(ws, g, s, w, nil)
-}
-
-// DijkstraPotentialsInto computes shortest paths under the reduced weight
-// w(e) + pot[From] − pot[To] (Johnson's technique) over caller-provided
-// scratch, returning distances in the ORIGINAL weight. pot may be nil for
-// plain Dijkstra. Reduced weights must be nonnegative; vertices with
-// pot[v] == Inf are treated as removed. The returned Tree aliases the
-// workspace (see Workspace).
-//
-//krsp:noalloc
-//krsp:terminates(each vertex finalizes once and the heap holds ≤ m entries)
-func DijkstraPotentialsInto(ws *Workspace, g *graph.Digraph, s graph.NodeID, w Weight, pot []int64) Tree {
-	n := g.NumNodes()
-	t := ws.tree(n)
-	done := ws.done[:n]
-	for v := range t.Dist {
-		t.Dist[v] = Inf
-		t.Parent[v] = -1
-		done[v] = false
-	}
-	if pot != nil && pot[s] == Inf {
-		return t
-	}
-	// dist here is in reduced weights; convert on exit.
-	t.Dist[s] = 0
-	h := ws.heap
-	h.Reset()
-	h.Push(int(s), 0)
-	for h.Len() > 0 {
-		ui, du := h.Pop()
-		u := graph.NodeID(ui)
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for _, id := range g.Out(u) {
-			e := g.Edge(id)
-			if done[e.To] {
-				continue
-			}
-			rw := w(e)
-			if pot != nil {
-				if pot[e.To] == Inf {
-					continue // unreachable in potential graph: skip
-				}
-				rw += pot[e.From] - pot[e.To]
-			}
-			if rw < 0 {
-				//lint:allow nopanic potential-validity invariant; a violation is a solver bug, not bad input
-				panic("shortest: negative reduced weight in Dijkstra")
-			}
-			nd := du + rw
-			if nd < t.Dist[e.To] {
-				t.Dist[e.To] = nd
-				t.Parent[e.To] = id
-				h.Push(int(e.To), nd)
-			}
-		}
-	}
-	if pot != nil {
-		for v := range t.Dist {
-			if t.Dist[v] != Inf {
-				t.Dist[v] += pot[v] - pot[s] //lint:allow weightovf de-reduction: Dist and potentials are path sums under n*MaxWeight < 2^47
-			}
-		}
-	}
-	return t
 }

@@ -22,7 +22,7 @@ func mkWeighted(t *testing.T) *graph.Digraph {
 
 func TestDijkstraCost(t *testing.T) {
 	g := mkWeighted(t)
-	tr := DijkstraInto(NewWorkspace(4), g, 0, CostWeight)
+	tr := DijkstraCSRInto(NewWorkspace(4), graph.NewCSR(g), 0, LinCost)
 	want := []int64{0, 1, 3, 4}
 	for v, d := range want {
 		if tr.Dist[v] != d {
@@ -42,7 +42,7 @@ func TestDijkstraCost(t *testing.T) {
 func TestDijkstraUnreachable(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1, 1, 1)
-	tr := DijkstraInto(NewWorkspace(3), g, 0, CostWeight)
+	tr := DijkstraCSRInto(NewWorkspace(3), graph.NewCSR(g), 0, LinCost)
 	if tr.Dist[2] != Inf {
 		t.Fatal("vertex 2 should be unreachable")
 	}
@@ -53,7 +53,7 @@ func TestDijkstraUnreachable(t *testing.T) {
 
 func TestDijkstraDelay(t *testing.T) {
 	g := mkWeighted(t)
-	tr := DijkstraInto(NewWorkspace(4), g, 0, DelayWeight)
+	tr := DijkstraCSRInto(NewWorkspace(4), graph.NewCSR(g), 0, LinDelay)
 	if tr.Dist[3] != 2 { // 0→2→3: 1+1
 		t.Fatalf("delay dist[3]=%d", tr.Dist[3])
 	}
@@ -67,29 +67,13 @@ func TestDijkstraPanicsOnNegative(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	DijkstraInto(NewWorkspace(2), g, 0, CostWeight)
+	DijkstraCSRInto(NewWorkspace(2), graph.NewCSR(g), 0, LinCost)
 }
 
 func TestCombineWeight(t *testing.T) {
 	e := graph.Edge{Cost: 3, Delay: 5}
 	if w := Combine(2, 7)(e); w != 2*3+7*5 {
 		t.Fatalf("combine = %d", w)
-	}
-}
-
-func TestDijkstraWithPotentials(t *testing.T) {
-	// Negative edge made nonnegative by potentials.
-	g := graph.New(3)
-	g.AddEdge(0, 1, 5, 0)
-	g.AddEdge(1, 2, -2, 0)
-	g.AddEdge(0, 2, 4, 0)
-	pt, _, ok := BellmanFordAll(g, CostWeight)
-	if !ok {
-		t.Fatal("potentials should exist")
-	}
-	tr := DijkstraPotentialsInto(NewWorkspace(3), g, 0, CostWeight, pt.Dist)
-	if tr.Dist[2] != 3 {
-		t.Fatalf("dist[2]=%d want 3", tr.Dist[2])
 	}
 }
 
@@ -106,7 +90,7 @@ func TestBellmanFordMatchesDijkstraNonneg(t *testing.T) {
 		if !ok {
 			return false // nonnegative weights: no negative cycle possible
 		}
-		dj := DijkstraInto(NewWorkspace(n), g, 0, CostWeight)
+		dj := DijkstraCSRInto(NewWorkspace(n), graph.NewCSR(g), 0, LinCost)
 		for v := 0; v < n; v++ {
 			if bf.Dist[v] != dj.Dist[v] {
 				return false

@@ -7,18 +7,18 @@ import (
 )
 
 // KShortestPaths implements Yen's algorithm: the K cheapest vertex-simple
-// s→t paths under w in nondecreasing weight order (fewer than K are
+// s→t paths under lw in nondecreasing weight order (fewer than K are
 // returned when the graph runs out of simple paths). Weights must be
 // nonnegative. It backs the Yen-greedy baseline and is generally useful as
 // a substrate for path-enumeration heuristics.
-func KShortestPaths(g *graph.Digraph, s, t graph.NodeID, K int, w Weight) []graph.Path {
+func KShortestPaths(g *graph.Digraph, s, t graph.NodeID, K int, lw LinWeight) []graph.Path {
 	if K <= 0 {
 		return nil
 	}
 	// One workspace serves the initial search and every spur search: each
 	// tree is consumed (PathTo) before the next search overwrites it.
 	ws := NewWorkspace(g.NumNodes())
-	first := DijkstraInto(ws, g, s, w)
+	first := DijkstraCSRInto(ws, graph.NewCSR(g), s, lw)
 	p0, ok := first.PathTo(g, t)
 	if !ok {
 		return nil
@@ -50,7 +50,7 @@ func KShortestPaths(g *graph.Digraph, s, t graph.NodeID, K int, w Weight) []grap
 			for _, v := range prevNodes[:i] {
 				bannedNodes[v] = true
 			}
-			spur, ok := dijkstraRestricted(ws, g, spurNode, t, w, bannedEdges, bannedNodes)
+			spur, ok := dijkstraRestricted(ws, g, spurNode, t, lw, bannedEdges, bannedNodes)
 			if !ok {
 				continue
 			}
@@ -62,7 +62,8 @@ func KShortestPaths(g *graph.Digraph, s, t graph.NodeID, K int, w Weight) []grap
 			seen[key] = true
 			var wt int64
 			for _, id := range full.Edges {
-				wt += w(g.Edge(id)) //lint:allow weightovf path sum; callers pass MaxWeight-bounded weightings
+				e := g.Edge(id)
+				wt += lw.Of(e.Cost, e.Delay)
 			}
 			pool = append(pool, cand{full, wt})
 		}
@@ -76,9 +77,9 @@ func KShortestPaths(g *graph.Digraph, s, t graph.NodeID, K int, w Weight) []grap
 	return accepted
 }
 
-// dijkstraRestricted runs Dijkstra avoiding banned edges and vertices,
-// reusing the caller's workspace for the search tree.
-func dijkstraRestricted(ws *Workspace, g *graph.Digraph, s, t graph.NodeID, w Weight,
+// dijkstraRestricted runs Dijkstra on a packed copy of g without the banned
+// edges and vertices, reusing the caller's workspace for the search tree.
+func dijkstraRestricted(ws *Workspace, g *graph.Digraph, s, t graph.NodeID, lw LinWeight,
 	bannedEdges graph.EdgeSet, bannedNodes map[graph.NodeID]bool) (graph.Path, bool) {
 	if bannedNodes[s] {
 		return graph.Path{}, false
@@ -92,7 +93,7 @@ func dijkstraRestricted(ws *Workspace, g *graph.Digraph, s, t graph.NodeID, w We
 		sub.AddEdge(e.From, e.To, e.Cost, e.Delay)
 		mapping = append(mapping, e.ID)
 	}
-	tr := DijkstraInto(ws, sub, s, w)
+	tr := DijkstraCSRInto(ws, graph.NewCSR(sub), s, lw)
 	p, ok := tr.PathTo(sub, t)
 	if !ok {
 		return graph.Path{}, false

@@ -17,7 +17,7 @@ func TestKShortestPathsSimple(t *testing.T) {
 	g.AddEdge(0, 2, 2, 0) // e2
 	g.AddEdge(2, 3, 3, 0) // e3   route B: 5
 	g.AddEdge(0, 3, 8, 0) // e4   route C: 8
-	paths := KShortestPaths(g, 0, 3, 5, CostWeight)
+	paths := KShortestPaths(g, 0, 3, 5, LinCost)
 	if len(paths) != 3 {
 		t.Fatalf("got %d paths", len(paths))
 	}
@@ -35,13 +35,13 @@ func TestKShortestPathsSimple(t *testing.T) {
 func TestKShortestPathsDegenerate(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1, 1, 0)
-	if got := KShortestPaths(g, 0, 2, 3, CostWeight); got != nil {
+	if got := KShortestPaths(g, 0, 2, 3, LinCost); got != nil {
 		t.Fatalf("unreachable sink returned %d paths", len(got))
 	}
-	if got := KShortestPaths(g, 0, 1, 0, CostWeight); got != nil {
+	if got := KShortestPaths(g, 0, 1, 0, LinCost); got != nil {
 		t.Fatal("K=0 must return nil")
 	}
-	if got := KShortestPaths(g, 0, 1, 5, CostWeight); len(got) != 1 {
+	if got := KShortestPaths(g, 0, 1, 5, LinCost); len(got) != 1 {
 		t.Fatalf("single-route graph returned %d paths", len(got))
 	}
 }
@@ -62,7 +62,7 @@ func TestKShortestPathsMatchesEnumeration(t *testing.T) {
 		}
 		s, tt := graph.NodeID(0), graph.NodeID(n-1)
 		K := 1 + r.Intn(6)
-		got := KShortestPaths(g, s, tt, K, CostWeight)
+		got := KShortestPaths(g, s, tt, K, LinCost)
 		// Exhaustive baseline.
 		var all []graph.Path
 		var cur []graph.EdgeID
