@@ -226,10 +226,16 @@ func run(args []string, out io.Writer) (bool, error) {
 		s := solveStats
 		fmt.Fprintf(out, "stats: lambda-iterations=%d cancellations=%d"+
 			" cycles0=%d cycles1=%d cycles2=%d cref-escalations=%d"+
-			" budgets-tried=%d relaxed-cap=%t phase1-fallback=%t\n",
+			" budgets-tried=%d relaxed-cap=%t phase1-fallback=%t",
 			s.Phase1.LambdaIterations, s.Iterations,
 			s.CyclesByType[0], s.CyclesByType[1], s.CyclesByType[2],
 			s.CRefEscalations, s.BudgetsTried, s.RelaxedCap, s.FellBackToPhase1)
+		if s.RepeatPeriod > 0 {
+			// Only solves whose cancellation loop was cut at a repeated
+			// state carry the field.
+			fmt.Fprintf(out, " repeat-period=%d", s.RepeatPeriod)
+		}
+		fmt.Fprintln(out)
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)

@@ -42,6 +42,8 @@ func fallbackReason(code int64) string {
 		return "search-exhausted"
 	case rec.FallbackCheaper:
 		return "endpoint-cheaper"
+	case rec.FallbackRepeat:
+		return "state-repeat"
 	default:
 		return fmt.Sprintf("reason-%d", code)
 	}
@@ -195,7 +197,11 @@ func report(w io.Writer, hdr rec.Header, evs []rec.Event) error {
 		case rec.KindRelaxedCap:
 			decision(ev.T, "relaxed-cap: consumed fallback candidate cost=%d delay=%d", ev.Args[0], ev.Args[1])
 		case rec.KindFallback:
-			decision(ev.T, "fallback: returned phase-1 endpoint (%s)", fallbackReason(ev.Args[0]))
+			if ev.Args[0] == rec.FallbackRepeat {
+				decision(ev.T, "fallback: returned phase-1 endpoint (%s, period %d)", fallbackReason(ev.Args[0]), ev.Args[1])
+			} else {
+				decision(ev.T, "fallback: returned phase-1 endpoint (%s)", fallbackReason(ev.Args[0]))
+			}
 		case rec.KindResidualRebuild:
 			decision(ev.T, "residual-rebuild: full rebuild at iteration %d", ev.Args[0])
 		case rec.KindFaultHit:

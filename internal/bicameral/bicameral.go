@@ -26,6 +26,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/rec"
 	"repro/internal/residual"
+	"repro/internal/shortest"
 )
 
 // Params carries the quantities of Definition 10.
@@ -191,7 +192,48 @@ type Stats struct {
 // Find searches the residual graph for a bicameral cycle under the given
 // parameters. found=false means the engine exhausted its budget schedule
 // without a cap-respecting candidate (Stats.Fallback may still be set).
+// It allocates its search scratch per call; loops that search many times
+// keep a Searcher instead.
 func Find(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bool) {
+	var s Searcher
+	return s.Find(rg, p, o)
+}
+
+// Searcher is Find with its scratch kept across calls: the sequential
+// search workspace (distances, parents, queue links) and the exclusion
+// mask of the detection rounds. Every search re-initialises what it reads,
+// so reuse never changes a result. The cancellation loop keeps one per
+// solve. The zero value is ready; not safe for concurrent use.
+type Searcher struct {
+	ws    *shortest.Workspace
+	alive []bool
+}
+
+// workspace returns the sequential workspace, wired to this call's metric
+// sink and canceller.
+func (s *Searcher) workspace(n int, o Options) *shortest.Workspace {
+	if s.ws == nil {
+		s.ws = shortest.NewWorkspace(n)
+	}
+	s.ws.SetMetrics(o.Metrics.ShortestMetrics())
+	s.ws.SetCancel(o.Cancel)
+	return s.ws
+}
+
+// mask returns an m-entry exclusion mask with every edge alive.
+func (s *Searcher) mask(m int) []bool {
+	if cap(s.alive) < m {
+		s.alive = make([]bool, m)
+	}
+	alive := s.alive[:m]
+	for i := range alive {
+		alive[i] = true
+	}
+	return alive
+}
+
+// Find is the package-level Find reusing s's scratch.
+func (s *Searcher) Find(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bool) {
 	if p.DeltaC <= 0 {
 		//lint:allow nopanic caller contract (core escalates C_ref before calling); programmer error
 		panic(fmt.Sprintf("bicameral: DeltaC=%d must be positive (escalate C_ref first)", p.DeltaC))
@@ -244,9 +286,9 @@ func Find(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bool) {
 	case EngineLP:
 		cand, st, found = findLP(rg, p, o)
 	case EngineMinRatio:
-		cand, st, found = findMinRatio(rg, p, o)
+		cand, st, found = findMinRatio(rg, p, o, s)
 	default:
-		cand, st, found = findCombinatorial(rg, p, o)
+		cand, st, found = findCombinatorial(rg, p, o, s)
 	}
 	if bm := o.Metrics.BicameralMetrics(); bm != nil {
 		bm.Finds.Inc()

@@ -45,7 +45,7 @@ func DetectionWeights(rg *residual.Graph, p Params) [2]shortest.LinWeight {
 // cost cap. Budgets escalate until min(MaxBudget, Σ|c|): at that point
 // every residual cycle is representable (prefix cost sums are bounded by
 // Σ|c|), so a combinatorially complete answer is reached.
-func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bool) {
+func findCombinatorial(rg *residual.Graph, p Params, o Options, scr *Searcher) (Candidate, Stats, bool) {
 	var st Stats
 	seeds := rg.ReversedSeeds()
 	if len(seeds) == 0 {
@@ -105,10 +105,7 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 	// cap, its edges are excluded and detection restarts — the detector
 	// would otherwise keep returning the same dominating cycle and mask
 	// qualifying ones.
-	alive := make([]bool, rg.R.NumEdges())
-	for i := range alive {
-		alive[i] = true
-	}
+	alive := scr.mask(m)
 	anyNegative := false
 	// Excluded edges are masked by a sentinel weight instead of cloning the
 	// graph minus them (the clone dominated the engine's allocations): with
@@ -123,9 +120,7 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 	// One workspace serves every sequential search below: the detection
 	// rounds here and the shared layered sweeps (it grows to layered size on
 	// first use). The parallel per-seed sweep takes one workspace per worker.
-	ws := shortest.NewWorkspace(rg.R.NumNodes())
-	ws.SetMetrics(o.Metrics.ShortestMetrics())
-	ws.SetCancel(o.Cancel)
+	ws := scr.workspace(rg.R.NumNodes(), o)
 	for round := 0; round <= 2*rg.R.NumEdges()+1; round++ {
 		if o.Cancel.Stopped() {
 			// A cancelled kernel reports "no cycle"; don't let that masquerade

@@ -15,15 +15,16 @@ import (
 // cycle against Definition 10 using the TRUE residual costs. The engine is
 // an E8 ablation arm: it shows what the pre-bicameral technique finds and
 // misses on residual graphs where both weights are negative.
-func findMinRatio(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bool) {
+func findMinRatio(rg *residual.Graph, p Params, o Options, scr *Searcher) (Candidate, Stats, bool) {
 	var st Stats
 	seeds := rg.ReversedSeeds()
 	if len(seeds) == 0 {
 		return Candidate{}, st, false
 	}
 	// One workspace for the whole parametric search: up to ~50 SPFA sweeps
-	// share it (extracted cycles are fresh slices, so reuse is safe).
-	ws := shortest.NewWorkspace(rg.R.NumNodes())
+	// share it (extracted cycles are fresh slices, so reuse is safe). This
+	// ablation arm reports no kernel metrics and ignores the canceller.
+	ws := scr.workspace(rg.R.NumNodes(), Options{})
 
 	// Fast exits: a plain negative-delay cycle (the μ → −∞ limit).
 	st.Searches++

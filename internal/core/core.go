@@ -86,6 +86,11 @@ type Stats struct {
 	// ResidualRebuilds counts full residual-graph rebuilds forced by a
 	// failed (or fault-injected) incremental update — the self-healing path.
 	ResidualRebuilds int `json:"residualRebuilds"`
+	// RepeatPeriod is nonzero when the cancellation loop revisited an
+	// earlier state (solution edge set and C_ref) and was cut there: the
+	// loop is deterministic, so it would have cycled with this period
+	// until its deadline or MaxIterations. FellBackToPhase1 is set too.
+	RepeatPeriod int `json:"repeatPeriod,omitempty"`
 	// Trace holds one record per cancellation iteration when
 	// Options.CollectTrace is set (nil otherwise).
 	Trace []IterationRecord `json:"trace,omitempty"`
@@ -111,7 +116,8 @@ type Options struct {
 	Engine bicameral.Engine
 	// FullSweep uses Algorithm 3's unit-step budget schedule (ablation).
 	FullSweep bool
-	// MaxIterations caps cycle cancellations (default 10·m·k + 1000).
+	// MaxIterations caps cycle cancellations (default 10·m·k + 1000). A
+	// loop that revisits a state is cut before the cap (Stats.RepeatPeriod).
 	MaxIterations int
 	// Phase1Only stops after the first phase, returning the better of the
 	// two Lagrangian endpoint flows — the (2,2)-style baseline of [9].

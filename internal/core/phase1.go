@@ -42,6 +42,10 @@ type Phase1Result struct {
 	// it just may be weaker than the true C_LP.
 	Degraded bool
 	Stats    Phase1Stats
+	// view is the never-flipped CSR of the instance graph the search ran
+	// on; the cancellation phase builds its residual on it instead of
+	// packing a second one.
+	view *graph.CSR
 }
 
 // ChooseByPotential returns the flow minimizing φ(f) = c(f)/C_LP + d(f)/D
@@ -90,12 +94,14 @@ func phase1(ins graph.Instance, fm *obs.FlowMetrics, c *cancel.Canceller, r *rec
 	}
 	g, s, t, k, bound := ins.G, ins.S, ins.T, ins.K, ins.Bound
 
-	// All min-cost-flow calls in the Lagrangian search run on one frozen CSR
-	// view through one reusable solver: packing costs O(n + m) once, and the
-	// ~10 flow computations per phase 1 then allocate nothing but their
-	// result sets. The solver's augmentation order is bit-identical to the
-	// Digraph path, so this port changes no output anywhere downstream.
-	kf := flow.NewKFlowSolver(graph.NewCSR(g))
+	// All min-cost-flow calls in the Lagrangian search run on one CSR view
+	// through one reusable solver: packing costs O(n + m) once, and the ~10
+	// flow computations per phase 1 then allocate nothing but their result
+	// sets. The solver's augmentation order is bit-identical to the Digraph
+	// path, so this port changes no output anywhere downstream. The
+	// cancellation phase builds its residual on the same view.
+	view := graph.NewCSR(g)
+	kf := flow.NewKFlowSolver(view)
 	kf.SetRecorder(r)
 	fc, err := kf.MinCostKFlow(s, t, k, shortest.LinCost, fm, c)
 	if err != nil {
@@ -175,7 +181,7 @@ func phase1(ins graph.Instance, fm *obs.FlowMetrics, c *cancel.Canceller, r *rec
 			hi = f
 		}
 	}
-	res := Phase1Result{Lo: lo, Hi: hi, CLP: best, Degraded: degraded}
+	res := Phase1Result{Lo: lo, Hi: hi, CLP: best, Degraded: degraded, view: view}
 	num, den := best.Num(), best.Denom()
 	st.CLPNum, st.CLPDen = num.Int64(), den.Int64()
 	// ⌈C_LP⌉ is still a valid lower bound on the integral optimum.

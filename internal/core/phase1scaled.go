@@ -65,7 +65,8 @@ func phase1Scaled(ins graph.Instance, eps float64, fm *obs.FlowMetrics, c *cance
 	// arithmetic, so the kernel is deterministic for any eps value.
 	epsRat := new(big.Rat).SetFloat64(eps)
 
-	kf := flow.NewKFlowSolver(graph.NewCSR(g))
+	view := graph.NewCSR(g)
+	kf := flow.NewKFlowSolver(view)
 	kf.SetRecorder(r)
 	// Endpoint flows use the full (non-target-stopped) rounds: their delay
 	// values gate the Exact shortcut and the infeasibility verdict, and
@@ -158,7 +159,7 @@ func phase1Scaled(ins graph.Instance, eps float64, fm *obs.FlowMetrics, c *cance
 			hi = f
 		}
 	}
-	res := Phase1Result{Lo: lo, Hi: hi, CLP: best, Degraded: degraded}
+	res := Phase1Result{Lo: lo, Hi: hi, CLP: best, Degraded: degraded, view: view}
 	num, den := best.Num(), best.Denom()
 	st.CLPNum, st.CLPDen = num.Int64(), den.Int64()
 	ceil := new(big.Int).Add(num, new(big.Int).Sub(den, big.NewInt(1)))

@@ -75,6 +75,9 @@ func recordOutcome(m *obs.Registry, res Result, err error) {
 	if st.FellBackToPhase1 {
 		sm.Phase1Fallbacks.Inc()
 	}
+	if st.RepeatPeriod > 0 {
+		sm.CancelNoProgress.Inc()
+	}
 	sm.LambdaIterations.Observe(int64(st.Phase1.LambdaIterations))
 	sm.CancellationsPerSolve.Observe(int64(st.Iterations))
 	sm.CycleCancelIters.Observe(int64(st.Iterations + st.CRefEscalations))
@@ -134,12 +137,21 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 		maxIter = 10*g.NumEdges()*ins.K + 1000
 	}
 
-	// Build the residual once and maintain it incrementally: applying a
-	// candidate flips exactly the edges on its cycles (rg.Update), which is
-	// bit-identical to rebuilding against the new solution but costs
-	// O(cycle length) instead of O(m) per iteration.
-	rg := residual.Build(g, cur)
+	// Build the residual once, on phase 1's CSR view, and maintain it
+	// incrementally: applying a candidate flips exactly the edges on its
+	// cycles (rg.Update), which is bit-identical to rebuilding against the
+	// new solution but costs O(cycle length) instead of O(m) per iteration.
+	rg := residual.BuildOn(p1.view, g, cur)
 	rg.SetRecorder(r)
+	// One Searcher keeps Find's scratch across the loop's searches.
+	var srch bicameral.Searcher
+	// The repeat cutoff needs the loop to be a pure function of its state;
+	// an attached fault registry draws from its own random stream, so it
+	// runs without one.
+	var repeats *repeatCheck
+	if opt.Faults == nil {
+		repeats = newRepeatCheck(g.NumEdges(), cur)
+	}
 	cs := m.StartSpan(obs.PhaseCancel)
 	r.Record(rec.KindPhaseStart, int64(obs.PhaseCancel), 0, 0, 0)
 	// degrade returns the anytime answer: the solutions this loop walks
@@ -165,6 +177,18 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 		if c.Check() {
 			return degrade()
 		}
+		if repeats != nil {
+			if period, again := repeats.observe(cRef); again {
+				// The loop is cycling; see repeatCheck. Lo is exactly what
+				// MaxIterations or the deadline would have returned.
+				stats.FellBackToPhase1 = true
+				stats.RepeatPeriod = period
+				r.Record(rec.KindFallback, rec.FallbackRepeat, int64(period), 0, 0)
+				cs.End()
+				r.Record(rec.KindPhaseEnd, int64(obs.PhaseCancel), 0, 0, 0)
+				return finish(ins, p1.Lo.Edges, p1, stats, false, m, r)
+			}
+		}
 		cap := cRef
 		if opt.DisableCostCap {
 			// Figure 1 ablation: “no cap” ≈ a cap beyond any cycle cost.
@@ -175,7 +199,7 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 			DeltaC:  cRef - curCost,
 			CostCap: cap,
 		}
-		cand, bst, found := bicameral.Find(rg, params, bicameral.Options{
+		cand, bst, found := srch.Find(rg, params, bicameral.Options{
 			Engine:      opt.Engine,
 			FullSweep:   opt.FullSweep,
 			Adversarial: opt.Adversarial,
@@ -250,13 +274,16 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 		cur = next
 		curCost += cand.Cost   //lint:allow weightovf solution aggregate over MaxWeight-capped edges; ≤ m·MaxWeight
 		curDelay += cand.Delay //lint:allow weightovf solution aggregate over MaxWeight-capped edges; ≤ m·MaxWeight
-		if r != nil {
-			edges := 0
-			for _, cyc := range cand.Cycles {
-				edges += len(cyc.Edges)
+		edges := 0
+		for _, cyc := range cand.Cycles {
+			edges += len(cyc.Edges)
+			if repeats != nil {
+				for _, id := range cyc.Edges {
+					repeats.toggle(rg.OrigEdge(id))
+				}
 			}
-			r.Record(rec.KindCancelStep, int64(edges), cand.Cost, cand.Delay, int64(cand.Type))
 		}
+		r.Record(rec.KindCancelStep, int64(edges), cand.Cost, cand.Delay, int64(cand.Type))
 		stats.Iterations++
 		if cand.Type >= 0 && int(cand.Type) < 3 {
 			stats.CyclesByType[cand.Type]++

@@ -11,16 +11,16 @@ import (
 	"repro/internal/shortest"
 )
 
-// KFlowSolver computes min-cost k-flows over a frozen CSR view with
+// KFlowSolver computes min-cost k-flows over a never-flipped CSR view with
 // reusable scratch. Phase 1 calls min-cost flow ~10 times per solve (two
 // endpoint flows plus the Lagrangian iterations) on the SAME graph; a
 // solver instance hoists the potential, distance, parent and heap arrays
 // out of those calls, so a call allocates only its UnitFlow result.
 //
 // Augmentation rounds iterate the CSR rows directly (forward arcs from
-// OutRow, cancelling arcs from InRow, both ID-ascending), the adjacency
-// order of the Digraph the view was packed from. Not safe for concurrent
-// use; one solver per goroutine.
+// Row, cancelling arcs from InRow, both ID-ascending), the adjacency order
+// of the Digraph the view was packed from. Not safe for concurrent use; one
+// solver per goroutine.
 type KFlowSolver struct {
 	c       *graph.CSR
 	inFlow  []bool
@@ -37,9 +37,9 @@ type KFlowSolver struct {
 // default) records nothing and costs one dead branch per round.
 func (kf *KFlowSolver) SetRecorder(r *rec.Recorder) { kf.fr = r }
 
-// NewKFlowSolver returns a solver bound to the view. The view must not be
-// flipped while the solver is in use (problem graphs never are; the solver
-// checks and panics to keep the contract loud).
+// NewKFlowSolver returns a solver bound to the view. The view must never
+// have been flipped, since the rounds read its InRow rows (problem graphs
+// never are; the solver checks and panics to keep the contract loud).
 func NewKFlowSolver(c *graph.CSR) *KFlowSolver {
 	n := c.NumNodes()
 	return &KFlowSolver{
@@ -80,7 +80,7 @@ func (kf *KFlowSolver) run(s, t graph.NodeID, k int, lw shortest.LinWeight, m *o
 		return UnitFlow{}, fmt.Errorf("flow: negative k=%d", k)
 	}
 	cs := kf.c
-	if cs.Mixed() {
+	if cs.Flipped() {
 		//lint:allow nopanic solver contract: flipping the view mid-use is a programming error, not runtime input
 		panic("flow: KFlowSolver used on a flipped CSR view")
 	}
@@ -195,15 +195,16 @@ func (kf *KFlowSolver) search(s, t graph.NodeID, lw shortest.LinWeight, c *cance
 		if targetStop && u == t {
 			break
 		}
-		for _, id := range cs.OutRow(u) {
+		for _, id := range cs.Row(u) {
 			if inFlow[id] {
 				continue
 			}
-			to := cs.Head(id)
+			a := cs.Arc(id)
+			to := a.Head
 			if settled[to] || pot[to] == shortest.Inf {
 				continue
 			}
-			rw := lw.Of(cs.Cost(id), cs.Delay(id)) + pot[u] - pot[to]
+			rw := lw.Of(a.Cost, a.Delay) + pot[u] - pot[to]
 			if rw < 0 {
 				//lint:allow nopanic potential-validity invariant; a violation is a solver bug, not bad input
 				panic(fmt.Sprintf("flow: negative reduced weight %d", rw))
@@ -219,11 +220,12 @@ func (kf *KFlowSolver) search(s, t graph.NodeID, lw shortest.LinWeight, c *cance
 			if !inFlow[id] {
 				continue
 			}
-			to := cs.Tail(id)
+			a := cs.Arc(id)
+			to := a.Tail
 			if settled[to] || pot[to] == shortest.Inf {
 				continue
 			}
-			rw := -lw.Of(cs.Cost(id), cs.Delay(id)) + pot[u] - pot[to]
+			rw := -lw.Of(a.Cost, a.Delay) + pot[u] - pot[to]
 			if rw < 0 {
 				//lint:allow nopanic potential-validity invariant; a violation is a solver bug, not bad input
 				panic(fmt.Sprintf("flow: negative reduced weight %d", rw))

@@ -89,3 +89,20 @@ func TestKFlowSolverReuseIsClean(t *testing.T) {
 		}
 	}
 }
+
+// TestKFlowSolverRefusesFlippedView: the solver reads InRow, which only a
+// never-flipped view holds, so it must refuse a view that was ever flipped
+// — even one whose every edge has been flipped back.
+func TestKFlowSolverRefusesFlippedView(t *testing.T) {
+	g, s, tt := randomFlowGraph(7, 24, 80, 4)
+	c := graph.NewCSR(g)
+	c.Flip(3)
+	c.Flip(3)
+	kf := flow.NewKFlowSolver(c)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("KFlowSolver ran on a view that was flipped and flipped back")
+		}
+	}()
+	_, _ = kf.MinCostKFlow(s, tt, 2, shortest.LinCost, nil, nil)
+}

@@ -100,6 +100,11 @@ type SolverMetrics struct {
 	RelaxedCap *Counter
 	// Phase1Fallbacks counts solves that fell back to the Phase-1 answer.
 	Phase1Fallbacks *Counter
+	// CancelNoProgress counts solves whose cancellation loop revisited an
+	// earlier state and was cut there (Stats.RepeatPeriod > 0): without
+	// the cut the loop would only have ended at its deadline or
+	// MaxIterations.
+	CancelNoProgress *Counter
 	// BudgetEscalations accumulates Stats.BudgetsTried across solves.
 	BudgetEscalations *Counter
 	// LambdaIterations is the per-solve Phase-1 λ-iteration histogram.
@@ -373,6 +378,8 @@ func (r *Registry) registerCatalogue() {
 		"Solves that needed the relaxed cost cap.")
 	r.Solver.Phase1Fallbacks = r.Counter("krsp_phase1_fallbacks_total",
 		"Solves that fell back to the Phase-1 answer.")
+	r.Solver.CancelNoProgress = r.Counter("krsp_cancel_no_progress_total",
+		"Solves whose cancellation loop repeated a state and fell back to the Phase-1 answer.")
 	r.Solver.BudgetEscalations = r.Counter("krsp_budget_escalations_total",
 		"Bicameral budget escalations accumulated across solves.")
 	r.Solver.LambdaIterations = r.Histogram("krsp_phase1_lambda_iterations",

@@ -53,7 +53,8 @@ const (
 	KindRelaxedCap
 	// KindFallback marks returning the feasible phase-1 endpoint instead
 	// of the cancelled solution (reason code: FallbackIterCap,
-	// FallbackSearchExhausted, FallbackCheaper).
+	// FallbackSearchExhausted, FallbackCheaper, FallbackRepeat; arg 1 is
+	// the repeat period for FallbackRepeat, 0 otherwise).
 	KindFallback
 	// KindResidualApply is one incremental residual update: cycles applied
 	// and residual edges flipped.
@@ -98,6 +99,9 @@ const (
 	FallbackSearchExhausted
 	// FallbackCheaper: the feasible endpoint beat the cancelled solution.
 	FallbackCheaper
+	// FallbackRepeat: the cancellation loop revisited an earlier state
+	// (solution edge set and C_ref), so it could never have finished.
+	FallbackRepeat
 )
 
 // KindProxyAttempt outcome codes (arg 1).
@@ -186,7 +190,7 @@ var kinds = [NumKinds]KindInfo{
 	},
 	KindFallback: {
 		Name: "fallback",
-		Args: [4]string{"reason", "", "", ""},
+		Args: [4]string{"reason", "period", "", ""},
 		Doc:  "returned the feasible phase-1 endpoint",
 	},
 	KindResidualApply: {

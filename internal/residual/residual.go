@@ -26,9 +26,9 @@ type Graph struct {
 	// reversed[i] reports whether residual edge i is a reversed solution
 	// edge (negated weights).
 	reversed []bool
-	// view is the CSR mirror of R, maintained in lockstep: Build packs it
-	// once, Update patches orientation bits in place (no re-pack). The
-	// bicameral fast path runs its detection kernels on it.
+	// view is the CSR mirror of R, maintained in lockstep: Build flips the
+	// solution edges in a view of G, Update flips each applied cycle's
+	// edges (no re-pack). The bicameral detection kernels run on it.
 	view *graph.CSR
 	// sol is the solution edge set the residual was built against.
 	sol graph.EdgeSet
@@ -46,14 +46,23 @@ func (rg *Graph) SetRecorder(r *rec.Recorder) { rg.fr = r }
 // IDs by construction (edges are inserted in insertion order), which both
 // Update and SolutionCycles rely on.
 func Build(g *graph.Digraph, sol graph.EdgeSet) *Graph {
+	return BuildOn(graph.NewCSR(g), g, sol)
+}
+
+// BuildOn is Build over a caller-packed, never-flipped CSR view of g — the
+// solver hands over phase 1's — so no second view is packed. The residual
+// takes the view over: the solution edges are flipped in it in place, and
+// the caller must not use it afterwards.
+func BuildOn(view *graph.CSR, g *graph.Digraph, sol graph.EdgeSet) *Graph {
 	m := g.NumEdges()
 	// Clone the input and flip the solution edges in place: FlipEdge is
 	// exactly the Definition-6 transform (reverse, negate both weights) and
 	// re-inserts at sorted adjacency position, so the result is identical to
 	// re-inserting every edge one by one — at a fraction of the allocations.
+	// The view's Flip keeps its rows sorted the same way.
 	r := g.Clone()
 	res := &Graph{
-		R: r, Orig: g, sol: sol.Clone(),
+		R: r, Orig: g, view: view, sol: sol.Clone(),
 		origEdge: make([]graph.EdgeID, m),
 		reversed: make([]bool, m),
 	}
@@ -62,13 +71,10 @@ func Build(g *graph.Digraph, sol graph.EdgeSet) *Graph {
 		res.origEdge[i] = id
 		if sol.Has(id) {
 			r.FlipEdge(id)
+			view.Flip(id)
 			res.reversed[i] = true
 		}
 	}
-	// Pack the CSR view AFTER the flips: its frozen orientation is the
-	// residual's current one, so a fresh Build always starts with clean
-	// (all-forward) rev bits regardless of the solution it encodes.
-	res.view = graph.NewCSR(r)
 	return res
 }
 

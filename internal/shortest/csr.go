@@ -46,14 +46,14 @@ func defaultBudget(c *graph.CSR) int {
 // never-flipped CSR view and caller-provided scratch, relaxing each row in
 // ascending edge-ID order. All selected weights must be nonnegative; it
 // panics on a negative weight, which would silently produce wrong answers,
-// and on a Mixed view, whose current adjacency OutRow alone does not list.
+// and on a Flipped view, which is a residual graph, not a problem graph.
 // The returned Tree aliases the workspace (see Workspace).
 //
 //krsp:noalloc
 //krsp:terminates(each vertex finalizes once and the heap holds ≤ m entries)
 //krsp:inbounds
 func DijkstraCSRInto(ws *Workspace, c *graph.CSR, s graph.NodeID, lw LinWeight) Tree {
-	if c.Mixed() {
+	if c.Flipped() {
 		//lint:allow nopanic kernel contract: Dijkstra runs on problem graphs, never on a flipped residual view
 		panic("shortest: DijkstraCSRInto on a flipped CSR view")
 	}
@@ -66,7 +66,7 @@ func DijkstraCSRInto(ws *Workspace, c *graph.CSR, s graph.NodeID, lw LinWeight) 
 		done[v] = false  //lint:allow boundsafe ws.tree(n) grows ws.done to n alongside the tree arrays
 	}
 	t.Dist[s] = 0
-	h := ws.heap
+	h := ws.dijkstraHeap(n)
 	h.Reset()
 	h.Push(int(s), 0)
 	for h.Len() > 0 {
@@ -76,12 +76,13 @@ func DijkstraCSRInto(ws *Workspace, c *graph.CSR, s graph.NodeID, lw LinWeight) 
 			continue
 		}
 		done[u] = true
-		for _, id := range c.OutRow(u) {
-			to := c.Head(id)
+		for _, id := range c.Row(u) {
+			a := c.Arc(id)
+			to := a.Head
 			if done[to] {
 				continue
 			}
-			rw := lw.Of(c.Cost(id), c.Delay(id))
+			rw := lw.Of(a.Cost, a.Delay)
 			if rw < 0 {
 				//lint:allow nopanic nonnegative-weight contract; a violation is a solver bug, not bad input
 				panic("shortest: negative weight in DijkstraCSRInto")
@@ -138,16 +139,16 @@ func SPFAAllBoundedCSRInto(ws *Workspace, c *graph.CSR, lw LinWeight, budget int
 }
 
 // spfaCSRCore is the queue-based Bellman–Ford variant (SPFA) seeded with
-// every vertex, walking each dequeued vertex's current adjacency in
-// ascending edge-ID order. After every n improving relaxations it scans the
-// parent graph for a cycle (Cherkassky–Goldberg's amortised walk-to-root
-// check, O(1) per relaxation): every parent update is a strict decrease, so
-// every parent-graph cycle is negative, and masked edges never become
-// parents. If a negative cycle exists, the parent graph keeps one once some
-// distance drops below every simple path's weight, so a scan finds it. It
-// returns done=false when its relaxation budget is exhausted or its
-// Canceller stops before a certified verdict; callers then fall back to the
-// pass-based scan or accept the non-verdict.
+// every vertex, scanning each dequeued vertex's current row (ascending edge
+// IDs, flipped edges included). After every n improving relaxations it
+// scans the parent graph for a cycle (Cherkassky–Goldberg's amortised
+// walk-to-root check, O(1) per relaxation): every parent update is a
+// strict decrease, so every parent-graph cycle is negative, and masked
+// edges never become parents. If a negative cycle exists, the parent graph
+// keeps one once some distance drops below every simple path's weight, so
+// a scan finds it. It returns done=false when its relaxation budget is
+// exhausted or its Canceller stops before a certified verdict; callers then
+// fall back to the pass-based scan or accept the non-verdict.
 //
 //krsp:inbounds
 func spfaCSRCore(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool, t Tree, budget int) (Tree, graph.Cycle, bool, bool) {
@@ -173,30 +174,13 @@ func spfaCSRCore(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool, t Tree
 		if du == Inf {
 			continue
 		}
-		outRow, inRow := c.OutRow(u), c.InRow(u)
-		i, j := 0, 0
-		for { //lint:allow ctxpoll bounded row merge: ≤ deg(u) steps, and the dequeue loop above polls once per vertex
-			for i < len(outRow) && c.Reversed(outRow[i]) {
-				i++
-			}
-			for j < len(inRow) && !c.Reversed(inRow[j]) { //lint:allow ctxpoll cursor only advances: ≤ len(inRow) steps total across the merge
-				j++
-			}
-			var id graph.EdgeID
-			if i < len(outRow) && (j >= len(inRow) || outRow[i] < inRow[j]) {
-				id = outRow[i]
-				i++
-			} else if j < len(inRow) {
-				id = inRow[j]
-				j++
-			} else {
-				break
-			}
-			w := lw.Of(c.Cost(id), c.Delay(id))
+		for _, id := range c.Row(u) {
+			a := c.Arc(id)
+			w := lw.Of(a.Cost, a.Delay)
 			if alive != nil && !alive[id] {
 				w = maskedW
 			}
-			to := c.Head(id)
+			to := a.Head
 			if nd := du + w; nd < t.Dist[to] {
 				budget--
 				relaxations++
@@ -248,16 +232,16 @@ func BellmanFordAllCSRInto(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bo
 		changed := false
 		for i := 0; i < m; i++ {
 			id := graph.EdgeID(i)
-			from := c.Tail(id)
-			if t.Dist[from] == Inf {
+			a := c.Arc(id)
+			if t.Dist[a.Tail] == Inf {
 				continue
 			}
-			w := lw.Of(c.Cost(id), c.Delay(id))
+			w := lw.Of(a.Cost, a.Delay)
 			if alive != nil && !alive[id] {
 				w = maskedW
 			}
-			if nd := t.Dist[from] + w; nd < t.Dist[c.Head(id)] { //lint:allow weightovf finite Dist is a <=n-1 edge path sum and |du| < 2^61 under masking, so nd cannot wrap
-				to := c.Head(id)
+			if nd := t.Dist[a.Tail] + w; nd < t.Dist[a.Head] { //lint:allow weightovf finite Dist is a <=n-1 edge path sum and |du| < 2^61 under masking, so nd cannot wrap
+				to := a.Head
 				t.Dist[to] = nd
 				t.Parent[to] = id
 				changed = true

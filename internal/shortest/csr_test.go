@@ -129,8 +129,8 @@ func TestBellmanFordAllCSRMatchesDigraph(t *testing.T) {
 
 // TestDijkstraCSRMatchesDigraph checks Dijkstra over never-flipped views
 // against the Digraph Bellman–Ford reference — equal distances, and every
-// parent edge tight — and checks that a flipped (Mixed) view, whose current
-// adjacency OutRow alone does not list, is refused loudly.
+// parent edge tight — and checks that a flipped view, a residual graph
+// rather than a problem graph, is refused loudly.
 func TestDijkstraCSRMatchesDigraph(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		g, c := mirrorPair(t, seed+200, 20, 70, 0)

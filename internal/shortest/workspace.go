@@ -9,8 +9,9 @@ import (
 
 // Workspace holds the scratch arrays shared by every kernel in this
 // package: distances, parent pointers, the SPFA queue links, and an
-// indexed heap for Dijkstra. Allocating these dominates the cost of
-// a single search on small graphs, and the solver's hot loops (cycle
+// indexed heap for Dijkstra, allocated on the first Dijkstra run (the
+// negative-cycle kernels never use it). Allocating these dominates the
+// cost of a single search on small graphs, and the solver's hot loops (cycle
 // cancellation, budget sweeps, Lagrangian iterations) run thousands of
 // searches over graphs of identical or slowly-growing size — a Workspace
 // amortizes the allocations to zero.
@@ -79,11 +80,18 @@ func (ws *Workspace) Grow(n int) {
 	ws.next = make([]graph.NodeID, n)   //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
 	ws.stamp = make([]int, n)           //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
 	ws.done = make([]bool, n)           //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
-	if ws.heap == nil {
-		ws.heap = pq.New(n)
-	} else {
+	if ws.heap != nil {
 		ws.heap.Grow(n)
 	}
+}
+
+// dijkstraHeap returns the workspace's heap sized for n items, creating it
+// on first use (later Grow calls grow it with the rest).
+func (ws *Workspace) dijkstraHeap(n int) *pq.Heap {
+	if ws.heap == nil {
+		ws.heap = pq.New(n)
+	}
+	return ws.heap
 }
 
 // tree returns a Tree backed by the workspace, sized (and re-sliced) to n

@@ -126,16 +126,21 @@ func TestWorkspaceTreeAliasing(t *testing.T) {
 	}
 }
 
-// TestWorkspaceGrowPreservesHeap: growing must not lose queued heap items
-// (pq.Heap.Grow keeps them), and repeated Grow calls must be idempotent.
+// TestWorkspaceGrowPreservesHeap: the Dijkstra heap is created on first use
+// only, growing must not lose queued heap items (pq.Heap.Grow keeps them),
+// and repeated Grow calls must be idempotent.
 func TestWorkspaceGrowPreservesHeap(t *testing.T) {
 	ws := NewWorkspace(4)
-	ws.heap.Push(2, 10)
-	ws.Grow(64)
-	if ws.heap.Len() != 1 {
-		t.Fatalf("heap lost items on grow: len=%d", ws.heap.Len())
+	if ws.heap != nil {
+		t.Fatal("NewWorkspace allocated the Dijkstra heap eagerly")
 	}
-	idx, key := ws.heap.Pop()
+	ws.dijkstraHeap(4).Push(2, 10)
+	ws.Grow(64)
+	h := ws.dijkstraHeap(64)
+	if h.Len() != 1 || h.Cap() < 64 {
+		t.Fatalf("heap lost items on grow: len=%d cap=%d", h.Len(), h.Cap())
+	}
+	idx, key := h.Pop()
 	if idx != 2 || key != 10 {
 		t.Fatalf("heap item corrupted: (%d,%d)", idx, key)
 	}
